@@ -16,11 +16,15 @@ shared round coin) against ``K`` sequential solo stacks.
    — there is nothing to amortize, so this pins the cost of multiplexing
    itself (expected ~1x, i.e. the demux layer is not a tax).
 3. **Ideal-coin + vote coalescing**: the same free-coin series with
-   ``coalesce_votes=True`` — all ``K`` instances' votes per
-   (round, phase) ride one envelope per (src, dst) pair, so the batch
-   dispatches roughly *one* instance's worth of events and the series
-   turns ~K×-shaped.  This isolates the wire-coalescing win from the
-   coin-amortization win.
+   envelopes kept (``"coalesce"`` aggregation) — all ``K`` instances'
+   votes per (round, phase) ride one envelope per (src, dst) pair, so the
+   batch dispatches roughly *one* instance's worth of events and the
+   series turns ~K×-shaped.  This isolates the wire-coalescing win from
+   the coin-amortization win.
+
+Series 1 and 2 run on the per-message wire (``"plain"`` aggregation: FIFO
+wrapped in both splitting schedulers), so the event counts keep measuring
+the same transports.
 
 The JSON artifact is committed at the repo root so the perf trajectory is
 diffable across PRs, next to ``BENCH_algebra.json`` / ``BENCH_engine.json``.
@@ -40,23 +44,23 @@ SEED = 3
 
 def _solo(coin) -> float:
     start = time.perf_counter()
-    fast_agreement(N, SEED, coin)
+    fast_agreement(N, SEED, coin, aggregation="plain")
     return time.perf_counter() - start
 
 
-def _batch(k: int, coin, coalesce: bool) -> tuple[float, int, int]:
+def _batch(k: int, coin, aggregation: str) -> tuple[float, int, int]:
     start = time.perf_counter()
-    result = fast_batch(k, N, SEED, coin, coalesce_votes=coalesce)
+    result = fast_batch(k, N, SEED, coin, aggregation=aggregation)
     seconds = time.perf_counter() - start
     return seconds, result.events_dispatched, result.max_rounds
 
 
-def _series(coin, repeats: int, coalesce: bool = False) -> dict:
+def _series(coin, repeats: int, aggregation: str = "plain") -> dict:
     solo_seconds = best_of(lambda: _solo(coin), repeats=repeats)
     sequential_rate = 1.0 / solo_seconds  # K decisions / (K * t_solo)
     rows = []
     for k in KS:
-        seconds, events, rounds = _batch(k, coin, coalesce)
+        seconds, events, rounds = _batch(k, coin, aggregation)
         rows.append(
             {
                 "k": k,
@@ -70,7 +74,7 @@ def _series(coin, repeats: int, coalesce: bool = False) -> dict:
     return {
         "solo_seconds": solo_seconds,
         "sequential_decisions_per_sec": sequential_rate,
-        "coalesce_votes": coalesce,
+        "aggregation": aggregation,
         "batches": rows,
     }
 
@@ -78,7 +82,7 @@ def _series(coin, repeats: int, coalesce: bool = False) -> dict:
 def test_bench_batch(emit):
     svss = _series("svss", repeats=2)
     ideal = _series(("ideal", 1.0), repeats=3)
-    ideal_coalesced = _series(("ideal", 1.0), repeats=3, coalesce=True)
+    ideal_coalesced = _series(("ideal", 1.0), repeats=3, aggregation="coalesce")
     payload = bench_payload(
         {
             "n": N,
@@ -120,7 +124,7 @@ def test_bench_batch(emit):
     emit(table(f"Batched agreement, ideal coin (multiplexing overhead, n={N})", ideal))
     emit(
         table(
-            f"Batched agreement, ideal coin + coalesce_votes (n={N})",
+            f"Batched agreement, ideal coin + vote coalescing (n={N})",
             ideal_coalesced,
         )
     )

@@ -9,8 +9,10 @@ aggregation collapses the *logical message* bill itself (one
 ``("svec", ...)`` message per (step, dealer-group) instead of n
 per-session messages, ~n⁴ → ~n³).  For ``n ∈ {4, 5, 7}`` this times one
 complete invocation (share + reveal, unit-delay FIFO network,
-``TRACE_OFF``) across the full ``svec on/off × coalesce on/off`` matrix
-and records, per mode:
+``TRACE_OFF``) across the four aggregation modes — the simulator always
+aggregates, and ``plain``/``svec``/``coalesce`` wrap the FIFO network in
+the splitting schedulers that strip one or both layers (see
+:data:`repro.sim.experiments.AGGREGATION_MODES`) — and records, per mode:
 
 1. **Logical messages** — via ``bench_common.logical_messages`` (envelope
    framing removed; a slot-vector counts as one).  Acceptance gate:
@@ -25,14 +27,13 @@ and records, per mode:
    metric of batched ingestion: grouping a slot-vector's sibling
    sessions behind one group-level ``filter_verdict`` probe replaces n
    per-slot calls with one (plus per-slot fallbacks only on
-   divergence).  The ``svec_coalesce_unbatched`` mode re-runs the
-   aggregated transport with ``batch_ingest=False`` so the A/B is
-   measured inside one artifact.  Acceptance gate: ≥3× fewer verdict
-   calls at ``n = 7`` with batching on.
+   divergence).  The reference is the ``coalesce`` mode, whose
+   slot-split wire feeds every slot through its own per-session verdict.
+   Acceptance gate: ≥3× fewer verdict calls at ``n = 7`` with
+   session vectors on.
 5. **Equivalence** — the coin outputs of every process must be identical
-   across all modes, including batched vs unbatched ingestion (both
-   transports and both ingestion paths are output-pure under
-   fixed-delay schedulers).
+   across all modes (both transports are output-pure under fixed-delay
+   schedulers).
 
 ``n = 10`` runs the svec modes only and is gated on *finishing*: its
 uncoalesced per-session baseline exceeds the runtime's 50M-event livelock
@@ -46,7 +47,7 @@ stays backend-stable; the ``svec_coalesce_numpy`` mode re-runs the full
 aggregation stack on the vectorized algebra backend
 (``repro.field.backend``) and is asserted bit-identical.  ``n = 16`` is
 the backend PR's headline: the first finite invocation at that size —
-``svec+coalesce+batch_ingest`` under both backends, gated on finishing
+``svec+coalesce`` under both backends, gated on finishing
 under the event guard with identical outputs (skipped, like the numpy
 mode, when numpy is not importable).
 
@@ -79,36 +80,22 @@ GATE_LOGICAL_REDUCTION = 4.0  # svec gate (PR 5)
 GATE_VERDICT_REDUCTION = 3.0  # batched-ingestion gate (PR 8)
 GATE_SECONDS = 10.0  # n=7 svec+coalesce wall-clock gate (PR 8)
 
-#: mode name -> fast_coin_flip kwargs; the svec on/off × coalesce on/off
-#: matrix, plus the batched-ingestion A/B on the aggregated transport
-#: (svec modes default to batched; ``_unbatched`` pins the per-slot
-#: path).  At N_LARGE only the aggregated modes are feasible.
+#: mode name -> fast_coin_flip kwargs: the four aggregation modes, plus
+#: the full aggregation stack on the numpy algebra backend.  At N_LARGE
+#: only the session-vector modes are feasible.
 #: Declaration order is measurement order: the aggregated modes run
 #: FIRST at each n so the wall-clock gate isn't poisoned by the heap a
 #: preceding per-session n=7 run leaves behind (allocator fragmentation
 #: after a ~9M-logical-message run costs the next run ~2×).
 MODES = {
-    "svec_coalesce": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": True,
-        "algebra_backend": "pure",
-    },
+    "svec_coalesce": {"aggregation": "coalesce+svec", "algebra_backend": "pure"},
     "svec_coalesce_numpy": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": True,
+        "aggregation": "coalesce+svec",
         "algebra_backend": "numpy",
     },
-    "svec_coalesce_unbatched": {
-        "svec": True,
-        "coalesce": True,
-        "batch_ingest": False,
-        "algebra_backend": "pure",
-    },
-    "svec": {"svec": True, "batch_ingest": True, "algebra_backend": "pure"},
-    "coalesce": {"coalesce": True, "algebra_backend": "pure"},
-    "plain": {"algebra_backend": "pure"},
+    "svec": {"aggregation": "svec", "algebra_backend": "pure"},
+    "coalesce": {"aggregation": "coalesce", "algebra_backend": "pure"},
+    "plain": {"aggregation": "plain", "algebra_backend": "pure"},
 }
 LARGE_MODES = ("svec", "svec_coalesce", "svec_coalesce_numpy")
 #: n = 16: the aggregated+vectorized frontier, both backends A/B'd.
@@ -170,7 +157,7 @@ def _series() -> list[dict]:
             row["plain"]["seconds"] / row["svec_coalesce"]["seconds"]
         )
         row["verdict_calls_reduction"] = (
-            row["svec_coalesce_unbatched"]["dmm_verdict_calls"]
+            row["coalesce"]["dmm_verdict_calls"]
             / row["svec_coalesce"]["dmm_verdict_calls"]
         )
         rows.append(row)
@@ -238,14 +225,14 @@ def test_bench_coin(emit):
                 f">= {GATE_EVENTS_REDUCTION}x fewer events at n={GATE_N} "
                 "with coalescing on",
                 f">= {GATE_VERDICT_REDUCTION}x fewer DMM verdict calls at "
-                f"n={GATE_N} with batched ingestion on",
+                f"n={GATE_N} with session vectors on",
                 f"n={GATE_N} svec+coalesce invocation under "
                 f"{GATE_SECONDS:.0f}s wall-clock",
                 f"n={N_LARGE} aggregated run finishes under the "
                 f"{DEFAULT_MAX_EVENTS // 10**6}M-event guard",
                 "coin outputs bit-identical pure vs numpy at every "
                 "benched n (numpy present)",
-                f"n={N_XL} svec+coalesce+batch_ingest invocation finite "
+                f"n={N_XL} svec+coalesce invocation finite "
                 "on both backends (numpy present)",
             ],
         },
@@ -260,7 +247,7 @@ def test_bench_coin(emit):
             f"{row['svec']['logical_messages']:,}",
             f"{row['logical_reduction']:.1f}x",
             f"{row['svec_coalesce']['events_dispatched']:,}",
-            f"{row['svec_coalesce_unbatched']['dmm_verdict_calls']:,}",
+            f"{row['coalesce']['dmm_verdict_calls']:,}",
             f"{row['svec_coalesce']['dmm_verdict_calls']:,}",
             f"{row['verdict_calls_reduction']:.1f}x",
             f"{row['plain']['seconds']:.2f}",
@@ -302,9 +289,9 @@ def test_bench_coin(emit):
         )
     emit(
         render_table(
-            "SVSS common coin: svec/coalesce/batch-ingest matrix",
+            "SVSS common coin: svec/coalesce aggregation matrix",
             ["n", "logical plain", "logical svec", "reduction",
-             "events svec+coal", "verdicts unbatched", "verdicts batched",
+             "events svec+coal", "verdicts per-slot", "verdicts batched",
              "verdict redux", "s plain", "s svec+coal", "speedup"],
             table_rows,
             note=(
@@ -316,8 +303,8 @@ def test_bench_coin(emit):
         )
     )
 
-    # Acceptance gates of PR 8 (batched ingestion), PR 5 (svec), PR 4
-    # (coalesce).
+    # Acceptance gates of batched ingestion, session vectors and
+    # coalescing.
     gate_row = next(row for row in series if row["n"] == GATE_N)
     assert gate_row["logical_reduction"] >= GATE_LOGICAL_REDUCTION, gate_row
     assert gate_row["events_reduction"] >= GATE_EVENTS_REDUCTION, gate_row
@@ -334,11 +321,11 @@ def test_bench_coin(emit):
             > row["coalesce"]["envelopes_pushed"]
             > 0
         )
-        # The batched path must actually engage — and the pinned-off mode
-        # must stay on the per-slot path (the A/B is real).
+        # The batched path must actually engage — and the slot-split
+        # reference must stay on the per-slot path (the A/B is real).
         assert row["svec_coalesce"]["svec_batch_ingested"] > 0
         assert row["svec_coalesce"]["dmm_verdicts_batched"] > 0
-        assert row["svec_coalesce_unbatched"]["svec_batch_ingested"] == 0
+        assert row["coalesce"]["svec_batch_ingested"] == 0
         # The vectorized backend must actually engage where present (the
         # outputs_identical assertion above already proved it harmless).
         if "svec_coalesce_numpy" in row:

@@ -23,6 +23,7 @@ from repro.core.api import (
     run_mwsvss,
     run_svss,
 )
+from repro.sim.experiments import aggregated_scheduler
 from repro.sim.scheduler import FifoScheduler
 from repro.sim.tracing import TRACE_OFF
 
@@ -72,35 +73,41 @@ def rotated_split_inputs(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
+def fifo(aggregation: str):
+    """The unit-delay FIFO network wrapped for one aggregation mode (see
+    :data:`repro.sim.experiments.AGGREGATION_MODES`): ``"plain"`` is the
+    paper's per-message wire, ``"coalesce+svec"`` the simulator's default."""
+    return aggregated_scheduler(FifoScheduler(), aggregation)
+
+
 def fast_agreement(
-    n: int, seed: int, coin, engine: str = "flat", coalesce: bool = False, **kw
+    n: int, seed: int, coin, engine: str = "flat", aggregation: str = "coalesce+svec", **kw
 ):
     """One canonical benchmark agreement run: split inputs, unit-delay FIFO
-    network, ``TRACE_OFF``.  Asserts agreement and returns the result."""
+    network wrapped for ``aggregation``, ``TRACE_OFF``.  Asserts agreement
+    and returns the result."""
     result = run_byzantine_agreement(
         [i % 2 for i in range(n)],
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=FifoScheduler(),
+        scheduler=fifo(aggregation),
         trace_level=TRACE_OFF,
         engine=engine,
-        coalesce=coalesce,
         **kw,
     )
     assert result.agreed, f"n={n} coin={coin!r} engine={engine} failed to agree"
     return result
 
 
-def fast_batch(k: int, n: int, seed: int, coin, coalesce_votes: bool = False, **kw):
+def fast_batch(k: int, n: int, seed: int, coin, aggregation: str = "coalesce+svec", **kw):
     """One canonical benchmark batch run (same scenario as
     :func:`fast_agreement`, ``k`` rotated-input instances)."""
     result = run_byzantine_agreement_batch(
         rotated_split_inputs(n, k),
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=FifoScheduler(),
+        scheduler=fifo(aggregation),
         trace_level=TRACE_OFF,
-        coalesce_votes=coalesce_votes,
         **kw,
     )
     assert result.agreed, f"batch K={k} n={n} coin={coin!r} failed to agree"
@@ -110,25 +117,20 @@ def fast_batch(k: int, n: int, seed: int, coin, coalesce_votes: bool = False, **
 def fast_coin_flip(
     n: int,
     seed: int,
-    coalesce: bool = False,
-    svec: bool = False,
-    batch_ingest: bool | None = None,
+    aggregation: str = "coalesce+svec",
     algebra_backend: str | None = None,
 ):
-    """One canonical SVSS common-coin invocation (unit-delay FIFO,
-    ``TRACE_OFF``); asserts every process output a bit."""
+    """One canonical SVSS common-coin invocation (unit-delay FIFO wrapped
+    for ``aggregation``, ``TRACE_OFF``); asserts every process output a
+    bit."""
     result, stack = flip_common_coin(
         SystemConfig(n=n, seed=seed),
-        scheduler=FifoScheduler(),
+        scheduler=fifo(aggregation),
         trace_level=TRACE_OFF,
-        coalesce=coalesce,
-        svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     assert set(result.outputs) == set(stack.config.pids), (
-        f"n={n} coalesce={coalesce} svec={svec}: "
-        "not every process output a coin bit"
+        f"n={n} aggregation={aggregation}: not every process output a coin bit"
     )
     return result
 

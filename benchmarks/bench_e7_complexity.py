@@ -14,10 +14,12 @@ polynomial in n, with small exponents:
 
 from __future__ import annotations
 
+from repro.adversary.schedulers import SlotSplittingScheduler
 from repro.analysis.complexity import fit_power_law
 from repro.analysis.tables import render_table
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin, run_mwsvss, run_svss
+from repro.sim.scheduler import default_scheduler
 
 RB_NS = (4, 7, 10, 13, 16, 20)
 MW_NS = (4, 7, 10, 13)
@@ -57,8 +59,11 @@ def _svss_points():
 
 
 def _coin_point():
+    # Slot-split wire: the coin/SVSS ratio counts the paper's per-session
+    # messages, not the session vectors that fold n of them into one.
     cfg = SystemConfig(n=4, seed=0)
-    result, _ = flip_common_coin(cfg)
+    scheduler = SlotSplittingScheduler(default_scheduler(cfg.derive_rng("scheduler")))
+    result, _ = flip_common_coin(cfg, scheduler=scheduler)
     return (4, result.trace.total_messages)
 
 

@@ -5,18 +5,18 @@ One common-coin invocation runs n² = 100 concurrent per-slot SVSS
 sharings (each fanning out MW-SVSS sub-sessions), whose uncoalesced
 per-session traffic is ~105M logical messages at n = 10 — past the
 simulator's 50M-event livelock guard, i.e. unrunnable before semantic
-aggregation.  With session-vector messages (``svec=True``, one
-``("svec", ...)`` message per (step, dealer-group) instead of n
-per-session messages) plus wire coalescing (``coalesce=True``, one
-envelope per (src, dst) pair per step) the same invocation is ~10.5M
-logical messages on ~850k events and completes in minutes, with
-bit-identical coin outputs.
+aggregation.  The simulator always aggregates: with session-vector
+messages (one ``("svec", ...)`` message per (step, dealer-group) instead
+of n per-session messages) plus wire coalescing (one envelope per
+(src, dst) pair per step) the same invocation is ~10.5M logical messages
+on ~850k events and completes in minutes, with bit-identical coin
+outputs.  (``SlotSplittingScheduler`` / ``EnvelopeSplittingScheduler``
+from ``repro.adversary`` restore the per-session / per-message wire.)
 
-Batched ingestion (on by default, ``REPRO_BATCH_INGEST=0`` to compare)
-then attacks the receive side: each slot-vector is admitted through one
-group-level DMM verdict probe instead of n per-slot calls, and its
-sibling-session transitions run as structure-of-arrays rows — same
-outputs, a fraction of the per-slot handler work.
+Batched ingestion then attacks the receive side: each slot-vector is
+admitted through one group-level DMM verdict probe instead of n per-slot
+calls, and its sibling-session transitions run as structure-of-arrays
+rows — same outputs, a fraction of the per-slot handler work.
 
 The algebra underneath all of it runs on the swappable vectorized
 backend (``REPRO_ALGEBRA_BACKEND`` ∈ pure/numpy/auto, or the second
@@ -42,7 +42,7 @@ def main() -> None:
     backend = sys.argv[2] if len(sys.argv) > 2 else None
     config = SystemConfig(n=n, seed=7)
     print(f"flipping the SVSS common coin: n={n}, t={config.t}, "
-          "svec+coalesce on")
+          "svec+coalesce")
     print("(uncoalesced per-session baseline at n=10: ~105M logical "
           "messages, > the 50M-event guard)")
 
@@ -51,8 +51,6 @@ def main() -> None:
         config,
         scheduler=FifoScheduler(),
         trace_level=TRACE_OFF,
-        svec=True,
-        coalesce=True,
         algebra_backend=backend,
     )
     wall = time.perf_counter() - start
@@ -69,14 +67,10 @@ def main() -> None:
           f"~{result.svec_slots / max(1, result.svec_packed):.1f} slots each)")
     print(f"  envelopes        : {result.envelopes_pushed:,} "
           f"(carrying {result.payloads_coalesced:,} logical messages)")
-    if result.svec_batch_ingested:
-        print(f"batched ingestion  : {result.svec_batch_ingested:,} vectors "
-              f"group-admitted ({result.dmm_verdicts_batched:,} slot verdicts "
-              f"batched, {result.dmm_verdict_fallbacks:,} per-slot fallbacks)")
-        print(f"DMM verdict calls  : {result.dmm_verdict_calls:,}")
-    else:
-        print(f"batched ingestion  : off (per-slot path; "
-              f"{result.dmm_verdict_calls:,} DMM verdict calls)")
+    print(f"batched ingestion  : {result.svec_batch_ingested:,} vectors "
+          f"group-admitted ({result.dmm_verdicts_batched:,} slot verdicts "
+          f"batched, {result.dmm_verdict_fallbacks:,} per-slot fallbacks)")
+    print(f"DMM verdict calls  : {result.dmm_verdict_calls:,}")
     print(f"algebra backend    : {result.algebra_backend} "
           f"({result.rows_vectorized:,} rows vectorized, "
           f"{result.backend_fallbacks:,} pure-path fallbacks)")

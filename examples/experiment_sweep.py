@@ -19,6 +19,11 @@ Engine knobs demonstrated here (see also ROADMAP.md "Performance"):
 * ``trace_level`` — ``TRACE_COUNTS`` (sweep default) keeps message
   counters; ``TRACE_OFF`` strips all per-message accounting for pure
   wall-clock work.
+* ``aggregation`` — ``"coalesce+svec"`` (the default) runs the
+  simulator's envelopes and session/vote vectors; ``"coalesce"``,
+  ``"svec"`` and ``"plain"`` wrap the scenario's scheduler in the
+  splitting schedulers that strip one or both layers (``"plain"`` is the
+  paper's per-message wire).
 
 Run:  python examples/experiment_sweep.py [workers]
 """
@@ -65,6 +70,14 @@ def main() -> None:
         f"engine A/B     : flat re-evaluated its wait predicate "
         f"{flat.predicate_evals}x vs legacy {legacy.predicate_evals}x "
         f"over {flat.events_dispatched} events"
+    )
+
+    # The per-message wire decides identically under FIFO.
+    plain = run_scenario(replace(base, aggregation="plain"))
+    assert plain.decision == flat.decision
+    print(
+        f"aggregation A/B: {plain.events_dispatched} plain vs "
+        f"{flat.events_dispatched} aggregated events"
     )
 
 

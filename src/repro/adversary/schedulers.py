@@ -20,26 +20,18 @@ the coin:
 
 Eventual delivery still holds: held messages arrive after a finite delay.
 
-Coalescing interplay: on a ``Runtime(coalesce=True)`` a scheduler may be
-handed *envelope* payloads carrying several logical messages (see
-:mod:`repro.sim.runtime`).  :class:`VoteBalancingScheduler` classifies an
-envelope by its dominant vote sub-payload and delays it as a unit;
-:class:`EnvelopeSplittingScheduler` instead refuses shared delivery
-outright — every buffered message is scheduled individually, restoring the
-full per-message adversarial surface at the uncoalesced event cost.
-
-Session-vector interplay: on a ``Runtime(svec=True)`` one logical message
-may be a ``("svec", ...)`` slot-vector carrying a whole coin batch's
-per-session messages (see :mod:`repro.core.vectormux`).
-:class:`SlotSplittingScheduler` vetoes that packing the same way —
-``splits_slots`` makes the VSS layer send every slot message per session,
-restoring exact per-session adversarial power (and, under a fixed-delay
-base, the bit-identical ``svec=False`` run).
+Aggregation interplay: the simulator packs logical messages into envelopes
+and ``("svec", ...)`` / ``("abav", ...)`` vectors (see
+:mod:`repro.sim.runtime`).  :class:`VoteBalancingScheduler` classifies
+envelopes and vote vectors by their dominant vote; the two splitting
+wrappers instead refuse the packing, and wrapping a base policy in both
+replays the paper's per-message run of that base exactly.
 """
 
 from __future__ import annotations
 
 from repro.config import SystemConfig
+from repro.core.agreement import ABAV_TAG
 from repro.sim.process import ENVELOPE_TAG
 from repro.sim.scheduler import Scheduler
 
@@ -60,6 +52,22 @@ class VoteBalancingScheduler(Scheduler):
         self._hold = hold
         self._group_a = frozenset(range(1, config.n // 2 + 1))
 
+    @staticmethod
+    def _dominant(values) -> int | None:
+        """The vote value most of ``values`` argue for (``None`` entries
+        abstain); ties break to the first non-``None`` value."""
+        counts = [0, 0]
+        first: int | None = None
+        for value in values:
+            if value is None:
+                continue
+            if first is None:
+                first = value
+            counts[value] += 1
+        if counts[0] == counts[1]:
+            return first  # None when nothing was classifiable
+        return 0 if counts[0] > counts[1] else 1
+
     @classmethod
     def _vote_value(cls, payload: object) -> int | None:
         """The binary value a (possibly coalesced) message argues for.
@@ -68,7 +76,7 @@ class VoteBalancingScheduler(Scheduler):
         the vote value the most sub-messages argue for (ties break to the
         first classifiable sub-payload).  Without this, every coalesced
         vote would fall through to the base delay and the balancing attack
-        would silently vanish as soon as ``coalesce`` is on.
+        would silently vanish on the aggregated wire.
         """
         if (
             isinstance(payload, tuple)
@@ -76,41 +84,47 @@ class VoteBalancingScheduler(Scheduler):
             and payload[0] == ENVELOPE_TAG
             and isinstance(payload[1], tuple)
         ):
-            counts = [0, 0]
-            first: int | None = None
-            for sub in payload[1]:
-                value = cls._single_vote_value(sub)
-                if value is None:
-                    continue
-                if first is None:
-                    first = value
-                counts[value] += 1
-            if counts[0] == counts[1]:
-                return first  # None when the envelope carries no votes
-            return 0 if counts[0] > counts[1] else 1
+            return cls._dominant(map(cls._single_vote_value, payload[1]))
         return cls._single_vote_value(payload)
 
-    @staticmethod
-    def _single_vote_value(payload: object) -> int | None:
-        """The binary value one logical vote message argues for, if any."""
+    @classmethod
+    def _single_vote_value(cls, payload: object) -> int | None:
+        """The binary value one logical vote message argues for, if any.
+
+        A packed ``("abav", seq, entries)`` vote vector argues for its
+        dominant entry vote, the same way an envelope is classified."""
         vote = None
-        # ABA votes travel as RB values ("aba", instance_id, r, phase, vote);
+        # ABA votes travel as RB values ("aba", instance_id, r, phase, vote)
+        # or packed ("abav", seq, ((instance_id, r, phase, vote), ...));
         # Ben-Or votes as plain sends ("benor", instance_id, r, phase, vote).
         if (
             isinstance(payload, tuple)
             and len(payload) == 3
             and payload[0] in ("b1", "b2", "b3")
             and isinstance(payload[2], tuple)
-            and len(payload[2]) == 5
-            and payload[2][0] == "aba"
         ):
-            vote = payload[2][4]
+            value = payload[2]
+            size = len(value)
+            if size == 5 and value[0] == "aba":
+                vote = value[4]
+            elif size == 3 and value[0] == ABAV_TAG and isinstance(value[2], tuple):
+                return cls._dominant(
+                    cls._entry_vote(entry[3])
+                    for entry in value[2]
+                    if isinstance(entry, tuple) and len(entry) == 4
+                )
         elif (
             isinstance(payload, tuple)
             and len(payload) == 5
             and payload[0] == "benor"
         ):
             vote = payload[4]
+        if vote is None:
+            return None
+        return cls._entry_vote(vote)
+
+    @staticmethod
+    def _entry_vote(vote: object) -> int | None:
         if vote in (0, 1):
             return vote
         if isinstance(vote, tuple) and len(vote) == 2 and vote[0] in (0, 1):
@@ -130,26 +144,18 @@ class VoteBalancingScheduler(Scheduler):
         return f"VoteBalancing(hold={self._hold})"
 
 
-class EnvelopeSplittingScheduler(Scheduler):
-    """Adversarial wrapper that splits every envelope back into per-message
-    deliveries.
+class _SplittingWrapper(Scheduler):
+    """Delegates every delay to ``base`` and ORs its split flags into the
+    subclass's own, so the composed wrapper order does not matter."""
 
-    The coalescing contract defines delay/drop/mutate semantics per
-    *logical* message; this scheduler is the path that makes the claim
-    checkable — with ``splits_envelopes`` set, the runtime schedules every
-    buffered message through :meth:`delay` individually and never forms an
-    envelope, so an adversary wrapping any base policy keeps exactly the
-    per-message power it had before coalescing existed.  (Under a
-    fixed-delay base this reproduces the uncoalesced run bit-for-bit.)
-    """
-
-    splits_envelopes = True
+    _label = ""
 
     def __init__(self, base: Scheduler):
         self._base = base
-        # Inherit the inner policy's slot stance so the composed wrapper
-        # order does not matter.
-        self.splits_slots = bool(getattr(base, "splits_slots", False))
+        for flag in ("splits_envelopes", "splits_slots"):
+            setattr(
+                self, flag, getattr(type(self), flag) or getattr(base, flag, False)
+            )
 
     def delay(self, src: int, dst: int, payload: object, now: float) -> float:
         return self._base.delay(src, dst, payload, now)
@@ -158,10 +164,28 @@ class EnvelopeSplittingScheduler(Scheduler):
         return self._base.fixed_delay()
 
     def describe(self) -> str:
-        return f"Split({self._base.describe()})"
+        return f"{self._label}({self._base.describe()})"
 
 
-class SlotSplittingScheduler(Scheduler):
+class EnvelopeSplittingScheduler(_SplittingWrapper):
+    """Adversarial wrapper that splits every envelope back into per-message
+    deliveries.
+
+    The coalescing contract defines delay/drop/mutate semantics per
+    *logical* message; this scheduler is the path that makes the claim
+    checkable — with ``splits_envelopes`` set, the runtime never opens its
+    send buffer and schedules every message through :meth:`delay` at send
+    time, so an adversary wrapping any base policy keeps exactly the
+    per-message power of the paper's model, and the run is the
+    per-message run of the base, bit for bit (``tests/test_coalesce.py``
+    pins it under fixed and uniform delays).
+    """
+
+    splits_envelopes = True
+    _label = "Split"
+
+
+class SlotSplittingScheduler(_SplittingWrapper):
     """Adversarial wrapper that vetoes session-vector packing entirely.
 
     The slot-vector analogue of :class:`EnvelopeSplittingScheduler`, one
@@ -169,28 +193,13 @@ class SlotSplittingScheduler(Scheduler):
     per-slot session messages into ``("svec", ...)`` vectors — every slot
     message is sent, scheduled and delivered per session, so an adversary
     wrapping any base policy keeps exactly the per-session power it had
-    before aggregation existed.  Under a fixed-delay base this replays the
-    ``svec=False`` run bit for bit (``tests/test_svec.py`` pins the golden
-    equality).  Compose with :class:`EnvelopeSplittingScheduler` to strip
-    both transports at once.
+    before aggregation existed.  The vote layer's ``("abav", ...)``
+    vectors are vetoed the same way.  Compose with
+    :class:`EnvelopeSplittingScheduler` to strip both transports at once.
     """
 
     splits_slots = True
-
-    def __init__(self, base: Scheduler):
-        self._base = base
-        # Inherit the inner policy's envelope stance so the composed
-        # wrapper order does not matter.
-        self.splits_envelopes = bool(getattr(base, "splits_envelopes", False))
-
-    def delay(self, src: int, dst: int, payload: object, now: float) -> float:
-        return self._base.delay(src, dst, payload, now)
-
-    def fixed_delay(self) -> float | None:
-        return self._base.fixed_delay()
-
-    def describe(self) -> str:
-        return f"SlotSplit({self._base.describe()})"
+    _label = "SlotSplit"
 
 
 class CoinRevealEclipseScheduler(Scheduler):

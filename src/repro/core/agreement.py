@@ -137,7 +137,7 @@ class VoteVectorMux(ProtocolModule):
         """Buffer one vote broadcast; False = caller broadcasts plain."""
         host = self.host
         runtime = host.runtime
-        if not runtime.svec or not runtime.svec_buffering or self.live < 2:
+        if not runtime.svec_buffering or self.live < 2:
             return False
         if host.behavior is not None or host.outbound_filter is not None:
             return False

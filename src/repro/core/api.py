@@ -135,9 +135,6 @@ def build_stack(
     trace_level: int = TRACE_FULL,
     engine: str = ENGINE_FLAT,
     instances: int | Sequence[object] = 1,
-    coalesce: bool = False,
-    svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
 ) -> Stack:
     """Assemble runtime, broadcast and (optionally) VSS for every process.
@@ -157,26 +154,17 @@ def build_stack(
     sizes the per-instance maps and is what
     :func:`run_byzantine_agreement_batch` builds on.
 
-    ``coalesce`` enables wire-level message coalescing: all sends of one
-    dispatch step sharing a (src, dst) pair travel as one envelope event
-    (see :mod:`repro.sim.runtime`).  A pure event-count optimization —
-    decisions and per-channel delivered logical-message sequences are
-    unchanged under fixed-delay schedulers.
-
-    ``svec`` enables session-vector aggregation (see
-    :mod:`repro.core.vectormux`): the common coin's n² per-slot MW-SVSS
+    Both wire-aggregation layers are always on: sends of one dispatch step
+    sharing a (src, dst) pair travel as one envelope event (see
+    :mod:`repro.sim.runtime`), and the common coin's n² per-slot MW-SVSS
     sessions send one ``("svec", ...)`` logical message per
-    (step, dealer-group) instead of n per-session messages, cutting the
-    coin's logical message bill ~n× while keeping coin outputs and every
-    per-session justifier bit-identical under fixed-delay schedulers.
-    Composes with ``coalesce`` (vectors still ride envelopes).
-
-    ``batch_ingest`` controls the receive side of ``svec``: on (the
-    default; ``None`` reads ``REPRO_BATCH_INGEST``), each received vector
-    is consumed through one group-level DMM verdict and one
-    structure-of-arrays lane transition (``VSSManager.ingest_vector``)
-    instead of n per-slot ingestion chains — slot-for-slot equivalent,
-    A/B-gated in CI.
+    (step, dealer-group) that the receiver ingests as a group (see
+    :mod:`repro.core.vectormux`).  Decisions, coin outputs and every
+    per-session justifier are unchanged under fixed-delay schedulers.
+    The scheduler alone restores the paper's per-message or per-session
+    wire: wrap it in
+    :class:`~repro.adversary.schedulers.EnvelopeSplittingScheduler` and/or
+    :class:`~repro.adversary.schedulers.SlotSplittingScheduler`.
 
     ``algebra_backend`` selects the vectorized algebra backend behind the
     row-shaped polynomial fast paths: ``"pure"``, ``"numpy"``, ``"auto"``
@@ -198,9 +186,6 @@ def build_stack(
         scheduler=scheduler,
         trace_level=trace_level,
         engine=engine,
-        coalesce=coalesce,
-        svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     runtime.trace.measure_bytes = measure_bytes
@@ -356,8 +341,8 @@ class AgreementResult:
     #: Runtime counters (always recorded, even at TRACE_OFF): events
     #: delivered, messages pushed onto the wire, and how often the
     #: completion predicate was evaluated (O(state changes) on the flat
-    #: engine vs O(events) on the legacy engine).  With coalescing on,
-    #: ``messages_pushed`` counts *wire events* (an envelope is one);
+    #: engine vs O(events) on the legacy engine).  ``messages_pushed``
+    #: counts *wire events* (an envelope is one);
     #: ``envelopes_pushed``/``payloads_coalesced`` size the saving and
     #: ``trace.total_messages`` keeps the logical count.
     events_dispatched: int = 0
@@ -436,9 +421,6 @@ def run_byzantine_agreement(
     measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
     engine: str = ENGINE_FLAT,
-    coalesce: bool = False,
-    svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
     monitor: InvariantMonitor | None = None,
 ) -> AgreementResult:
@@ -469,9 +451,6 @@ def run_byzantine_agreement(
         trace_level=trace_level,
         engine=engine,
         instances=(tag,),
-        coalesce=coalesce,
-        svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, coin, instance=tag)
@@ -623,9 +602,6 @@ def run_byzantine_agreement_batch(
     max_rounds: int = 200,
     max_events: int = DEFAULT_MAX_EVENTS,
     share_coin: bool = True,
-    coalesce_votes: bool = False,
-    svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
     measure_bytes: bool = False,
     trace_level: int = TRACE_FULL,
@@ -654,15 +630,16 @@ def run_byzantine_agreement_batch(
     (ids derived from its instance id), restoring the strict per-instance
     release discipline at ``K`` times the coin cost.
 
-    ``coalesce_votes=True`` turns on the runtime's wire-level coalescing
-    for the whole batch: all ``K`` instances advance in lock-step under a
-    fixed-delay scheduler, so their votes for one (round, phase) — and the
-    broadcast echo traffic amplifying them — ride one envelope per
-    (src, dst) pair instead of ``K`` separate events.  Per-instance
-    decisions are unchanged (the coalescer preserves per-party delivered
-    logical-message sequences); only the event bill shrinks, which is what
-    converts the free-coin batch series from flat to ~K×-shaped (see
-    ``benchmarks/bench_batch.py``).
+    All ``K`` instances advance in lock-step under a fixed-delay
+    scheduler, so their votes for one (round, phase) travel as one
+    ``("abav", ...)`` vote vector, and the broadcast echo traffic
+    amplifying them rides one envelope per (src, dst) pair instead of
+    ``K`` separate events.  Per-instance decisions are unchanged (both
+    layers preserve per-party delivered logical-message sequences); only
+    the message and event bills shrink, which is what converts the
+    free-coin batch series from flat to ~K×-shaped (see
+    ``benchmarks/bench_batch.py``).  Wrap the scheduler in the splitting
+    schedulers to run the batch on the per-vote wire.
     """
     rows = list(inputs_matrix)
     if not rows:
@@ -678,9 +655,6 @@ def run_byzantine_agreement_batch(
         trace_level=trace_level,
         engine=engine,
         instances=instance_ids,
-        coalesce=coalesce_votes,
-        svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     input_maps = {
@@ -741,9 +715,9 @@ def run_byzantine_agreement_batch(
     # Start source-major (all of one host's instances before the next
     # host's) inside one coalescing step: the K round-1 votes of each
     # (src, dst) pair ride one envelope, which is what seeds the
-    # self-sustaining vote coalescing of ``coalesce_votes=True``.  Every
-    # instance's per-party sub-sequence is unaffected by the start order,
-    # so the batch-matches-solo guarantee is order-independent here.
+    # self-sustaining vote coalescing.  Every instance's per-party
+    # sub-sequence is unaffected by the start order, so the
+    # batch-matches-solo guarantee is order-independent here.
     with stack.runtime.coalescing_step():
         for pid in config.pids:
             for iid in instance_ids:
@@ -996,9 +970,6 @@ def flip_common_coin(
     max_events: int = DEFAULT_MAX_EVENTS,
     trace_level: int = TRACE_FULL,
     engine: str = ENGINE_FLAT,
-    coalesce: bool = False,
-    svec: bool = False,
-    batch_ingest: bool | None = None,
     algebra_backend: str | None = None,
 ) -> tuple[CoinResult, Stack]:
     """Run one full SVSS-based shunning common coin invocation."""
@@ -1009,9 +980,6 @@ def flip_common_coin(
         adversary=adversary,
         trace_level=trace_level,
         engine=engine,
-        coalesce=coalesce,
-        svec=svec,
-        batch_ingest=batch_ingest,
         algebra_backend=algebra_backend,
     )
     coins = make_coins(stack, "svss")

@@ -34,19 +34,19 @@ processes are guaranteed to release every coin they join (§ agreement).
 
 *Cost profile.*  One invocation runs ``n²`` SVSS sharings (each a fan-out
 of MW-SVSS sub-sessions), whose echo/ack/confirm traffic crosses the same
-(src, dst) pairs within the same protocol steps — on a coalescing runtime
-(``Runtime(coalesce=True)``) that whole per-step bundle rides one envelope
+(src, dst) pairs within the same protocol steps — the runtime's
+coalescing transport carries that whole per-step bundle in one envelope
 per pair, collapsing the invocation's event bill by 20–60× at small ``n``
 (``benchmarks/bench_coin.py``) with bit-identical outputs; the logical
 message count, and hence the paper's complexity claims, are unchanged.
-On a session-vector runtime (``Runtime(svec=True)``) the *logical* bill
-collapses too: all ``n`` slots of one dealer batch march in lock-step, so
-each party's per-step messages into them fold into one ``("svec", ...)``
-slot-vector per (step, dealer-group) — ~n⁴ → ~n³ logical messages, with
-coin outputs and per-session justifiers still bit-identical (the coin
-registers each invocation's session family with the VSS layer's
-:class:`~repro.core.vectormux.SessionVectorMux` at :meth:`join`, and
-claims the svec broadcast topic in its ``_wire``).
+Session-vector aggregation collapses the *logical* bill too (unless the
+scheduler splits slots): all ``n`` slots of one dealer batch march in
+lock-step, so each party's per-step messages into them fold into one
+``("svec", ...)`` slot-vector per (step, dealer-group) — ~n⁴ → ~n³
+logical messages, with coin outputs and per-session justifiers still
+bit-identical (the coin registers each invocation's session family with
+the VSS layer's :class:`~repro.core.vectormux.SessionVectorMux` at
+:meth:`join`, and claims the svec broadcast topic in its ``_wire``).
 
 The module also provides the pluggable stand-ins used by baselines and
 scaling experiments: :class:`LocalCoin` (Ben-Or/Bracha style private
@@ -266,11 +266,10 @@ class CommonCoinModule(ProtocolModule, CoinSource):
             return
         session = _CoinSession(self, csid)
         self.sessions[csid] = session
-        if self.host.runtime.svec:
-            # Our n (dealer, slot) sessions — and every per-slot reply we
-            # send into peers' sessions of this invocation — may travel as
-            # slot-vectors from here on.
-            self.vss.mux.register_family(csid)
+        # Our n (dealer, slot) sessions — and every per-slot reply we send
+        # into peers' sessions of this invocation — may travel as
+        # slot-vectors from here on.
+        self.vss.mux.register_family(csid)
         for slot in range(1, self.n + 1):
             self.vss.register_watcher((csid, slot), _SlotWatcher(session, slot))
         rng = self.config.derive_rng("coin-secrets", csid, self.pid)

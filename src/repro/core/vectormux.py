@@ -34,9 +34,11 @@ Per-session semantics
 Packing is pure framing — the per-session state machines underneath are
 untouched:
 
-* unpacking feeds every ``(slot, body)`` through the ordinary
-  ``VSSManager._ingest`` path, so each slot gets its own DMM verdict,
-  its own validation, and its own session instance; a missing, malformed,
+* unpacking hands the vector to ``VSSManager.ingest_vector``, which is
+  slot-for-slot equivalent to feeding every ``(slot, body)`` through the
+  per-session ``VSSManager._ingest`` path: each slot keeps its own DMM
+  verdict (a group-level probe stands in only while every sibling agrees),
+  its own validation and its own session instance; a missing, malformed,
   delayed or discarded slot degrades *that session only*, never its
   vector siblings;
 * a receiver that crashes while processing slot ``k`` (e.g. its crash
@@ -54,7 +56,7 @@ untouched:
 
 Under fixed-delay schedulers the aggregation is output-pure: coin bits and
 every per-session justifier (attach sets, accepted sets, eval sets,
-party values) are bit-identical to the unaggregated run
+party values) are bit-identical to the slot-split run
 (``tests/test_svec.py`` asserts this per seed on both engines); only the
 logical message count shrinks (``Runtime.svec_packed`` /
 ``Runtime.svec_slots`` size the effect).  Vectors may regroup sibling
@@ -87,7 +89,8 @@ class SessionVectorMux:
     receive side rebuilds per-slot session ids and re-enters the ordinary
     ingestion path.  Buffers are only filled while the runtime says a step
     is open (``Runtime.svec_buffering``), so driver code outside any step
-    falls through to plain per-session sends.
+    falls through to plain per-session sends (as does every send under a
+    ``splits_slots`` scheduler, which never opens the window).
     """
 
     __slots__ = (
@@ -124,30 +127,28 @@ class SessionVectorMux:
         self.families.add(csid)
 
     # -- send side ---------------------------------------------------------
-    def _packing(self) -> bool:
-        runtime = self.manager._runtime
-        if not runtime.svec or not runtime.svec_buffering or not self.families:
-            return False
-        host = self.manager.host
+    def _split(self, sid: tuple):
+        """``(group, slot)`` when this step may pack ``sid``, else None."""
+        manager = self.manager
+        if not manager._runtime.svec_buffering or not self.families:
+            return None
+        host = manager.host
         # Corrupt senders keep the per-session adversarial surface: their
         # outbound filters / crash budgets must see logical slot messages.
-        return host.behavior is None and host.outbound_filter is None
-
-    def offer_private(self, dst: int, sid: tuple, kind: str, body: object) -> bool:
-        """Buffer one private per-slot send; False = caller sends plain."""
-        manager = self.manager
-        runtime = manager._runtime
-        if not runtime.svec or not runtime.svec_buffering or not self.families:
-            return False
-        host = manager.host
         if host.behavior is not None or host.outbound_filter is not None:
-            return False
+            return None
         split = self._splits.get(sid)
         if split is None:
             split = svec_split(sid, self.families)
-            if split is None:
-                return False
-            self._splits[sid] = split
+            if split is not None:
+                self._splits[sid] = split
+        return split
+
+    def offer_private(self, dst: int, sid: tuple, kind: str, body: object) -> bool:
+        """Buffer one private per-slot send; False = caller sends plain."""
+        split = self._split(sid)
+        if split is None:
+            return False
         group, slot = split
         key = (dst, group, kind)
         pending = self._private.get(key)
@@ -160,19 +161,9 @@ class SessionVectorMux:
 
     def offer_rb(self, sid: tuple, kind: str, body: object) -> bool:
         """Buffer one per-slot reliable broadcast; False = caller sends plain."""
-        manager = self.manager
-        runtime = manager._runtime
-        if not runtime.svec or not runtime.svec_buffering or not self.families:
-            return False
-        host = manager.host
-        if host.behavior is not None or host.outbound_filter is not None:
-            return False
-        split = self._splits.get(sid)
+        split = self._split(sid)
         if split is None:
-            split = svec_split(sid, self.families)
-            if split is None:
-                return False
-            self._splits[sid] = split
+            return False
         group, slot = split
         key = (group, kind)
         pending = self._rb.get(key)
@@ -245,12 +236,12 @@ class SessionVectorMux:
         self._unpack(origin, value, self.manager.RB_KINDS)
 
     def _unpack(self, src: int, payload: tuple, allowed: frozenset) -> None:
-        """Feed every slot of one vector through the per-session ingestion.
+        """Hand one well-formed vector to ``VSSManager.ingest_vector``.
 
         Transport enforcement (``allowed``) applies to the whole vector —
         a private svec can only carry private kinds and vice versa, exactly
         like the per-session paths.  Everything else is validated per slot
-        by ``_ingest``; malformed entries are dropped individually.
+        by the manager; malformed entries are dropped individually.
         """
         if len(payload) != 4:
             return
@@ -263,29 +254,7 @@ class SessionVectorMux:
             hash(group)
         except TypeError:
             return  # unhashable ids from a byzantine sender
-        manager = self.manager
-        if manager._runtime.svec:
-            # Receiving a vector for this family proves the conversation
-            # speaks svec; the replies triggered below should pack too.
-            self.families.add(group[1])
-        if manager._runtime.batch_ingest:
-            # Batched ingestion: one group-level DMM verdict + SoA lane
-            # transition for the whole vector (slot-for-slot equivalent to
-            # the per-slot loop below; see VSSManager.ingest_vector).
-            manager.ingest_vector(src, group, kind, entries)
-            return
-        host = manager.host
-        ingest = manager._ingest
-        epoch = host.crash_epoch
-        for item in entries:
-            if host.crashed or host.crash_epoch != epoch:
-                # Crash mid-vector: the remaining slots die too.  The epoch
-                # check extends this to crash→recover cycles inside the
-                # loop (the vector was addressed to the dead incarnation).
-                return
-            if type(item) is not tuple or len(item) != 2:
-                continue
-            slot, body = item
-            if type(slot) is not int:
-                continue
-            ingest(src, svec_sid(group, slot), kind, body)
+        # Receiving a vector for this family proves the conversation
+        # speaks svec; the replies triggered below should pack too.
+        self.families.add(group[1])
+        self.manager.ingest_vector(src, group, kind, entries)

@@ -7,7 +7,7 @@ TCP server accepting inbound links, and one :class:`PeerConnection`
 supervisor per peer for outbound traffic.  The :class:`NetRuntime`
 facade implements exactly the runtime surface protocol modules consume
 (``transmit``, ``config``, ``trace``, ``monitor``, ``now``,
-``notify_state_change``, the svec/coalesce flags) — see
+``notify_state_change``, the svec flag) — see
 :class:`~repro.sim.module.HostABC` for the contract.
 
 Reliability.  The simulation models reliable private channels; TCP alone
@@ -229,18 +229,13 @@ class NetRuntime:
         #: encodes the shared payload once for all n links.
         self.batch_sends = True
         #: Aggregation transports are simulation-side optimizations; over
-        #: sockets every logical message is one frame.  (Envelopes arriving
-        #: from byzantine peers still unpack — the host path is unchanged.)
-        self.coalesce = False
-        self.svec = False
+        #: sockets every logical message is one frame.  (Envelopes and
+        #: forged ("svec", ...) frames from byzantine peers still unpack —
+        #: the host and ingest paths are unchanged, so they keep their
+        #: counters here.)
         self.svec_buffering = False
         self.svec_packed = 0
         self.svec_slots = 0
-        #: Batched vector ingestion never triggers over sockets (svec is
-        #: off, so no vectors form), but byzantine peers can still deliver
-        #: forged ("svec", ...) frames — keep the flag and counters so the
-        #: shared unpack/ingest path runs unchanged.
-        self.batch_ingest = True
         self.svec_batch_ingested = 0
         self.dmm_verdicts_batched = 0
         self.dmm_verdict_fallbacks = 0

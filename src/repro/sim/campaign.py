@@ -2,9 +2,9 @@
 
 A *campaign* is the robustness analogue of an experiment sweep: instead of
 measuring round counts, it drives every combination of an adversary, a
-scheduler, and an aggregation mode (coalescing / session vectors on or
-off) through monitored runs and asks one question per cell — did any
-seeded run violate a protocol invariant?  The paper's safety claims are
+scheduler, and an aggregation mode (envelopes / session vectors kept or
+split by the splitting schedulers) through monitored runs and asks one
+question per cell — did any seeded run violate a protocol invariant?  The paper's safety claims are
 unconditional (agreement and validity hold under *every* legal adversary
 and schedule), so the expected verdict on every honest-majority cell is
 zero violations; a single red cell localizes a bug to an (adversary,
@@ -22,27 +22,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from repro.analysis.tables import render_table
 from repro.errors import ConfigurationError
 from repro.sim.experiments import (
+    AGGREGATION_MODES,
     RunRecord,
     Scenario,
     SweepResult,
     run_matrix,
     scenario_matrix,
-)
-
-#: Aggregation-mode axis: name -> (coalesce, svec).  Read-only so cells
-#: keyed by mode name stay canonical.
-AGGREGATION_MODES: MappingProxyType = MappingProxyType(
-    {
-        "plain": (False, False),
-        "coalesce": (True, False),
-        "svec": (False, True),
-        "coalesce+svec": (True, True),
-    }
 )
 
 #: Default campaign axes — every adversary family of the engine (static
@@ -64,15 +53,7 @@ class CampaignCell:
 
     adversary: str
     scheduler: str
-    coalesce: bool
-    svec: bool
-
-    @property
-    def aggregation(self) -> str:
-        for name, (coalesce, svec) in AGGREGATION_MODES.items():
-            if (coalesce, svec) == (self.coalesce, self.svec):
-                return name
-        return f"coalesce={self.coalesce},svec={self.svec}"
+    aggregation: str
 
     def describe(self) -> str:
         return f"{self.adversary} x {self.scheduler} x {self.aggregation}"
@@ -83,8 +64,7 @@ def _cell_of(record: RunRecord) -> CampaignCell:
     return CampaignCell(
         adversary=scenario.adversary,
         scheduler=scenario.scheduler,
-        coalesce=scenario.coalesce,
-        svec=scenario.svec,
+        aggregation=scenario.aggregation,
     )
 
 
@@ -175,10 +155,10 @@ def campaign_matrix(
     """All monitored scenarios of a campaign, in deterministic cell order.
 
     ``overrides`` pass through to :class:`Scenario` (``coin``, ``engine``,
-    ``batch``, ...) uniformly; ``monitor``/``coalesce``/``svec`` are owned
-    by the campaign axes and cannot be overridden.
+    ``batch``, ...) uniformly; ``monitor``/``aggregation`` are owned by
+    the campaign axes and cannot be overridden.
     """
-    for owned in ("monitor", "coalesce", "svec"):
+    for owned in ("monitor", "aggregation"):
         if owned in overrides:
             raise ConfigurationError(
                 f"{owned!r} is a campaign axis, not an override"
@@ -192,7 +172,6 @@ def campaign_matrix(
     seeds = list(seeds)
     matrix: list[Scenario] = []
     for mode in modes:
-        coalesce, svec = AGGREGATION_MODES[mode]
         matrix.extend(
             scenario_matrix(
                 ns=(n,),
@@ -201,8 +180,7 @@ def campaign_matrix(
                 seeds=seeds,
                 monitor=True,
                 round_bound=round_bound,
-                coalesce=coalesce,
-                svec=svec,
+                aggregation=mode,
                 **overrides,
             )
         )

@@ -42,6 +42,7 @@ import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from multiprocessing import get_context
+from types import MappingProxyType
 
 from repro.adversary.adaptive import AdaptiveAdversary
 from repro.adversary.controller import (
@@ -107,6 +108,28 @@ SCHEDULERS: dict[str, Callable[[SystemConfig], Scheduler]] = {
     ),
 }
 
+#: Aggregation modes: name -> the splitting wrappers a scenario's scheduler
+#: is wrapped in.  The simulator always aggregates; a mode strips envelopes
+#: and/or slot and vote vectors through the adversary's splitting
+#: schedulers, so ``"plain"`` is the paper's per-message wire.  Read-only
+#: so campaign cells keyed by mode name stay canonical.
+AGGREGATION_MODES: MappingProxyType = MappingProxyType(
+    {
+        "plain": (EnvelopeSplittingScheduler, SlotSplittingScheduler),
+        "coalesce": (SlotSplittingScheduler,),
+        "svec": (EnvelopeSplittingScheduler,),
+        "coalesce+svec": (),
+    }
+)
+
+
+def aggregated_scheduler(scheduler: Scheduler, aggregation: str) -> Scheduler:
+    """``scheduler`` wrapped in the splitting schedulers of ``aggregation``."""
+    for wrapper in AGGREGATION_MODES[aggregation]:
+        scheduler = wrapper(scheduler)
+    return scheduler
+
+
 #: Adversary registry: name -> factory(config) -> Adversary | None.
 #: Seeded entries draw from ``derive_rng("experiment-adversary")`` so every
 #: corruption replays from the scenario seed; ``t == 0`` configs get None
@@ -164,13 +187,11 @@ class Scenario:
     ``"random"``) on one runtime with a shared round coin, and the record
     aggregates across instances.
 
-    ``coalesce`` enables wire-level message coalescing (one envelope event
-    per (src, dst) pair per dispatch step; for batched scenarios this is
-    the ``coalesce_votes`` axis — all instances' votes per (round, phase)
-    share envelopes).  ``svec`` enables session-vector aggregation (the
-    SVSS coin's per-slot sessions send one slot-vector message per
-    (step, dealer-group) — see :mod:`repro.core.vectormux`); records carry
-    the aggregation counters either way.
+    ``aggregation`` names one of :data:`AGGREGATION_MODES`: the default
+    ``"coalesce+svec"`` runs the simulator's envelopes and slot/vote
+    vectors, the others wrap the scheduler in the splitting schedulers
+    that strip one or both layers; records carry the aggregation counters
+    either way.
     """
 
     n: int
@@ -185,19 +206,13 @@ class Scenario:
     trace_level: int = TRACE_COUNTS
     batch: int = 1
     share_coin: bool = True
-    coalesce: bool = False
-    svec: bool = False
+    aggregation: str = "coalesce+svec"
     #: Install an :class:`~repro.sim.monitor.InvariantMonitor` on the run;
     #: any violation is caught and recorded on the RunRecord (a worker
     #: never tears down its pool on a violation).  ``round_bound`` arms the
     #: monitor's liveness watchdog.
     monitor: bool = False
     round_bound: int | None = None
-    #: Batched slot-vector ingestion axis (group-level DMM verdicts + SoA
-    #: lane transitions on the receive side).  ``None`` inherits the
-    #: runtime default (``REPRO_BATCH_INGEST``, on unless set to ``0``);
-    #: sweeps pin ``True``/``False`` to A/B the ingestion paths.
-    batch_ingest: bool | None = None
     #: Vectorized algebra backend axis (``"pure"`` | ``"numpy"`` |
     #: ``"auto"``); ``None`` inherits the process default
     #: (``REPRO_ALGEBRA_BACKEND`` / auto-detect).  Results are
@@ -224,6 +239,11 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown input pattern {self.inputs!r}; "
                 f"known: {sorted(INPUT_PATTERNS)}"
+            )
+        if self.aggregation not in AGGREGATION_MODES:
+            raise ConfigurationError(
+                f"unknown aggregation mode {self.aggregation!r}; "
+                f"known: {list(AGGREGATION_MODES)}"
             )
         if self.engine not in ENGINES:
             raise ConfigurationError(
@@ -390,6 +410,9 @@ def run_scenario(scenario: Scenario) -> RunRecord:
         if scenario.monitor
         else None
     )
+    scheduler = aggregated_scheduler(
+        SCHEDULERS[scenario.scheduler](config), scenario.aggregation
+    )
     start = time.perf_counter()
     try:
         if scenario.batch > 1:
@@ -397,14 +420,11 @@ def run_scenario(scenario: Scenario) -> RunRecord:
                 batch_inputs(scenario, config),
                 config,
                 coin=scenario.coin,
-                scheduler=SCHEDULERS[scenario.scheduler](config),
+                scheduler=scheduler,
                 adversary=adversary,
                 max_rounds=scenario.max_rounds,
                 max_events=scenario.max_events,
                 share_coin=scenario.share_coin,
-                coalesce_votes=scenario.coalesce,
-                svec=scenario.svec,
-                batch_ingest=scenario.batch_ingest,
                 algebra_backend=scenario.algebra_backend,
                 trace_level=scenario.trace_level,
                 engine=scenario.engine,
@@ -446,15 +466,12 @@ def run_scenario(scenario: Scenario) -> RunRecord:
             INPUT_PATTERNS[scenario.inputs](config),
             config,
             coin=scenario.coin,
-            scheduler=SCHEDULERS[scenario.scheduler](config),
+            scheduler=scheduler,
             adversary=adversary,
             max_rounds=scenario.max_rounds,
             max_events=scenario.max_events,
             trace_level=scenario.trace_level,
             engine=scenario.engine,
-            coalesce=scenario.coalesce,
-            svec=scenario.svec,
-            batch_ingest=scenario.batch_ingest,
             algebra_backend=scenario.algebra_backend,
             monitor=monitor,
         )
@@ -644,11 +661,13 @@ class SweepResult:
 
 __all__ = [
     "ADVERSARIES",
+    "AGGREGATION_MODES",
     "INPUT_PATTERNS",
     "RunRecord",
     "SCHEDULERS",
     "Scenario",
     "SweepResult",
+    "aggregated_scheduler",
     "batch_inputs",
     "run_matrix",
     "run_scenario",

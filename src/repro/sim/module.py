@@ -57,7 +57,8 @@ class HostABC(Protocol):
     driver surface modules reach through it: ``config``, ``field``,
     ``trace``, ``monitor``, ``now``, ``notify_state_change()``,
     ``routing_frozen``, ``batch_sends``, ``transmit``/``transmit_all``
-    and the aggregation flags (``coalesce``, ``svec`` and friends).
+    and the session-vector window flag (``svec_buffering``) with the
+    aggregation counters.
     Keeping that indirection in one place is what lets the same module
     code run over a simulated event queue and over real sockets.
     """

@@ -27,52 +27,48 @@ round advances or decides), and :meth:`Runtime.run_until` with
 ``on_change=True`` re-evaluates its predicate only when the change counter
 moved — O(state changes) predicate evaluations instead of O(events).
 
-Transport coalescing (``coalesce=True``): all :meth:`Runtime.transmit`
-calls made while one event is being dispatched are buffered per
-``(src, dst)`` and flushed at end-of-step as a single *envelope* event
-``("env", (sub_payload, ...))`` whenever two or more logical messages
-share the pair; the receiving host unpacks sub-payloads in order through
-its ordinary handler table (:meth:`ProcessHost._deliver_envelope`).  The
-n² concurrent MW-SVSS sessions of one common-coin invocation emit their
-echo/ack/confirm traffic between the same pairs within the same step, so
-their per-step event bill collapses from O(n²) per pair to O(1) — queue
-pushes, scheduler consultations and the hot loop's crash/dispatch checks
-are paid once per envelope, while every *logical* message still traverses
-its handler, the trace counters, byzantine outbound filters (applied
-before buffering) and the DMM.  Adversarial semantics stay per logical
-message: a scheduler classifies the whole envelope (see
-:meth:`~repro.sim.scheduler.Scheduler.splits_envelopes` and
-``repro.adversary.schedulers``) or opts to split it back into individually
-scheduled deliveries, losing no power.  With a fixed-delay scheduler the
-optimization is *pure*: every conversation — one (src, dst, session)
-stream — delivers the bit-identical sequence of logical messages, every
-party handles the identical message multiset, and decisions/rounds are
-bit-identical to the uncoalesced run on both engines
-(``tests/test_coalesce.py`` asserts all of this per seed); only the event
-count shrinks (``envelopes_pushed`` / ``payloads_coalesced`` size the
-effect).  Distinct conversations may regroup *within one simultaneity
-bucket* (envelopes merge events that delivered back-to-back at the same
-timestamp) — the protocol's state machines are per-session, so this is
-framing, not reordering.
+Transport coalescing: all :meth:`Runtime.transmit` calls made while one
+event is being dispatched are buffered per ``(src, dst)`` and flushed at
+end-of-step as a single *envelope* event ``("env", (sub_payload, ...))``
+whenever two or more logical messages share the pair; the receiving host
+unpacks sub-payloads in order through its ordinary handler table
+(:meth:`ProcessHost._deliver_envelope`).  The n² concurrent MW-SVSS
+sessions of one common-coin invocation emit their echo/ack/confirm
+traffic between the same pairs within the same step, so their per-step
+event bill collapses from O(n²) per pair to O(1), while every *logical*
+message still traverses its handler, the trace counters, byzantine
+outbound filters (applied before buffering) and the DMM.  Adversarial
+semantics stay per logical message: a scheduler classifies the whole
+envelope (see ``repro.adversary.schedulers``) or advertises
+:attr:`~repro.sim.scheduler.Scheduler.splits_envelopes`, and the runtime
+then never opens the buffer — every message is scheduled at send time,
+exactly the per-message wire of the paper's model, for any base
+scheduler.  Under a fixed-delay scheduler coalescing is *pure*: every
+conversation — one (src, dst, session) stream — delivers the
+bit-identical sequence of logical messages and decisions/rounds equal the
+envelope-split run on both engines (``tests/test_coalesce.py``); only the
+event count shrinks (``envelopes_pushed`` / ``payloads_coalesced``).
+Distinct conversations may regroup *within one simultaneity bucket* —
+the protocol's state machines are per-session, so this is framing, not
+reordering.
 
-Session-vector aggregation (``svec=True``): one layer up from the
-envelope transport, the VSS layer packs the common coin's per-slot
-session messages into ``("svec", ...)`` slot-vectors — one *logical*
-message per (step, dealer-group) instead of n per-session messages (see
-:mod:`repro.core.vectormux`).  The runtime's part is the step window:
-``svec_buffering`` is open while an event is dispatched (or a driver-side
-:meth:`coalescing_step` is active), dirty muxes register via
-:meth:`svec_defer`, and the end-of-step flush runs them *before* the
+Session-vector aggregation: one layer up, the VSS layer packs the common
+coin's per-slot session messages into ``("svec", ...)`` slot-vectors — one
+*logical* message per (step, dealer-group) instead of n per-session
+messages (see :mod:`repro.core.vectormux`).  The runtime's part is the
+step window: ``svec_buffering`` is open while an event is dispatched (or
+a driver-side :meth:`coalescing_step` is active), dirty muxes register
+via :meth:`svec_defer`, and the end-of-step flush runs them *before* the
 envelope flush so vectors still coalesce onto envelopes.  A
 ``splits_slots`` scheduler vetoes the packing outright.  Counters:
-``svec_packed`` / ``svec_slots``.
+``svec_packed`` / ``svec_slots``.  Both layers are always on unless the
+scheduler splits them, so the per-message wire is an adversary input.
 """
 
 from __future__ import annotations
 
 import gc
 import heapq
-import os
 from collections.abc import Callable
 from contextlib import contextmanager
 
@@ -105,9 +101,6 @@ class Runtime:
         scheduler: Scheduler | None = None,
         trace_level: int = TRACE_FULL,
         engine: str = ENGINE_FLAT,
-        coalesce: bool = False,
-        svec: bool = False,
-        batch_ingest: bool | None = None,
         algebra_backend: str | None = None,
     ):
         if engine not in ENGINES:
@@ -144,49 +137,33 @@ class Runtime:
         self._hosts_seq: list[ProcessHost | None] = [None] * (config.n + 1)
         for pid, host in self.hosts.items():
             self._hosts_seq[pid] = host
-        #: Wire-level message coalescing (see the module docstring).  The
-        #: scheduler may veto envelope delivery per se by advertising
-        #: ``splits_envelopes`` — buffered messages are then flushed as
-        #: individually scheduled events, restoring the uncoalesced
-        #: adversarial surface while keeping the coalescing code path on.
-        self.coalesce = bool(coalesce)
-        self._split_envelopes = bool(
-            getattr(self.scheduler, "splits_envelopes", False)
-        )
+        #: Wire-level message coalescing (see the module docstring), off
+        #: only under a ``splits_envelopes`` scheduler: the buffer then
+        #: never opens and every message is scheduled at send time.
+        self.coalesce = not getattr(self.scheduler, "splits_envelopes", False)
         #: (src, dst) -> [payload, ...] buffered during the current step.
         self._outbox: dict[tuple[int, int], list] = {}
         self._buffering = False
         #: Envelope events pushed / logical messages that rode inside them.
         self.envelopes_pushed = 0
         self.payloads_coalesced = 0
-        #: Session-vector aggregation (see :mod:`repro.core.vectormux`):
-        #: when on, the VSS layer packs the coin's per-slot session
-        #: messages into one ``("svec", ...)`` logical message per
-        #: (step, dealer-group, kind).  A ``splits_slots`` scheduler
+        #: Session-vector aggregation (see :mod:`repro.core.vectormux`): the
+        #: VSS layer packs the coin's per-slot session messages into one
+        #: ``("svec", ...)`` logical message per (step, dealer-group,
+        #: kind), unless a ``splits_slots`` scheduler
         #: (:class:`repro.adversary.schedulers.SlotSplittingScheduler`)
-        #: vetoes the packing outright, replaying the per-session wire
-        #: stream bit for bit.
-        self.svec = bool(svec) and not bool(
-            getattr(self.scheduler, "splits_slots", False)
-        )
+        #: vetoes the packing and the per-session wire stream is sent.
+        self.svec = not getattr(self.scheduler, "splits_slots", False)
         #: True while a dispatch step (or a driver-side
         #: :meth:`coalescing_step`) is open and session-vector muxes may
-        #: buffer; outside a step, per-slot sends travel plain.
+        #: buffer; outside a step, or when ``svec`` is off, per-slot sends
+        #: travel plain.
         self.svec_buffering = False
         #: Muxes holding buffered slot messages for the current step.
         self._svec_pending: list = []
         #: Slot-vector messages emitted / per-slot messages folded into them.
         self.svec_packed = 0
         self.svec_slots = 0
-        #: Batched slot-vector ingestion (see ``VSSManager.ingest_vector``):
-        #: when on, received vectors are consumed through one group-level
-        #: DMM verdict + structure-of-arrays lane transition instead of n
-        #: per-slot ``_ingest`` chains.  Slot-for-slot equivalent to the
-        #: per-slot path; ``REPRO_BATCH_INGEST=0`` forces it off (the CI
-        #: A/B lever), the keyword overrides the environment.
-        if batch_ingest is None:
-            batch_ingest = os.environ.get("REPRO_BATCH_INGEST", "1") != "0"
-        self.batch_ingest = bool(batch_ingest)
         #: Vectorized algebra backend (see :mod:`repro.field.backend` and
         #: ``docs/ALGEBRA.md``): ``None`` defers to ``REPRO_ALGEBRA_BACKEND``
         #: / auto-detect.  Selection is process-global (the fast paths carry
@@ -195,8 +172,9 @@ class Runtime:
         #: :attr:`backend_fallbacks` report per-run deltas.
         self.algebra_backend = _algebra.set_backend(algebra_backend).name
         self._algebra_baseline = _algebra.counters.snapshot()
-        #: Vectors consumed by the batched path / slots resolved by a
-        #: group-level verdict / slots that fell back to per-slot verdicts.
+        #: Vectors consumed by ``VSSManager.ingest_vector`` / slots resolved
+        #: by a group-level verdict / slots that fell back to per-slot
+        #: verdicts.
         self.svec_batch_ingested = 0
         self.dmm_verdicts_batched = 0
         self.dmm_verdict_fallbacks = 0
@@ -418,34 +396,26 @@ class Runtime:
         Each ``(src, dst)`` buffer with two or more logical messages
         becomes one envelope event ``("env", (payload, ...))`` in send
         order; singletons travel as plain events (no framing overhead).
-        Under a ``splits_envelopes`` scheduler every buffered message is
-        pushed — and scheduled — individually, which is the envelope-
-        splitting adversary path: per-message delay control is fully
-        restored at the uncoalesced event cost.  Buffers drain grouped by
-        first-touched pair; within a pair, order is send order, so every
-        destination still observes the uncoalesced per-party sequence.
+        Buffers drain grouped by first-touched pair; within a pair, order
+        is send order, so every destination still observes the
+        per-message per-party sequence.
         """
         outbox = self._outbox
         now = self.now
         fixed = self._fixed_delay
         queue = self.queue
-        split = self._split_envelopes
         try:
             for (src, dst), payloads in outbox.items():
-                if len(payloads) == 1 or split:
-                    for payload in payloads:
-                        delay = fixed
-                        if delay is None:
-                            delay = self._checked_delay(src, dst, payload)
-                        queue.push(now + delay, dst, src, payload)
-                    continue
-                envelope = (ENVELOPE_TAG, tuple(payloads))
+                if len(payloads) == 1:
+                    payload = payloads[0]
+                else:
+                    payload = (ENVELOPE_TAG, tuple(payloads))
+                    self.envelopes_pushed += 1
+                    self.payloads_coalesced += len(payloads)
                 delay = fixed
                 if delay is None:
-                    delay = self._checked_delay(src, dst, envelope)
-                queue.push(now + delay, dst, src, envelope)
-                self.envelopes_pushed += 1
-                self.payloads_coalesced += len(payloads)
+                    delay = self._checked_delay(src, dst, payload)
+                queue.push(now + delay, dst, src, payload)
         finally:
             # Clear even when a scheduler produced an illegal delay
             # mid-flush (fatal anyway): already-pushed pairs must not be
@@ -483,13 +453,10 @@ class Runtime:
         self-sustaining.  Callers must emit in source-major order (all of
         one sender's messages before the next sender's) if they rely on the
         bit-identical-sequence guarantee.  The same window opens the
-        session-vector muxes (``svec=True``), so a driver loop's per-slot
-        coin sends leave as slot-vectors too.  No-op when both transports
-        are off; do not use while the event loop is running.
+        session-vector muxes, so a driver loop's per-slot coin sends leave
+        as slot-vectors too.  No-op when the scheduler splits both
+        transports; do not use while the event loop is running.
         """
-        if not self.coalesce and not self.svec:
-            yield
-            return
         self._buffering = self.coalesce
         self.svec_buffering = self.svec
         try:
@@ -517,12 +484,8 @@ class Runtime:
             self.freeze_routing()
         time, _, dst, src, payload = self.queue.pop()
         self.now = time
-        coalescing = self.coalesce
-        svec = self.svec
-        if coalescing:
-            self._buffering = True
-        if svec:
-            self.svec_buffering = True
+        coalescing = self._buffering = self.coalesce
+        svec = self.svec_buffering = self.svec
         try:
             tap = self.delivery_tap
             if tap is not None:
@@ -656,12 +619,8 @@ class Runtime:
         # run between events) and flushes after every dispatch, which is
         # observably identical to per-step buffering.  The session-vector
         # window opens the same way.
-        coalescing = self.coalesce
-        if coalescing:
-            self._buffering = True
-        svec = self.svec
-        if svec:
-            self.svec_buffering = True
+        coalescing = self._buffering = self.coalesce
+        svec = self.svec_buffering = self.svec
         # The caller evaluated the predicate before entering, so only a
         # version moved *after* this point warrants a re-evaluation.
         last_version = self._state_version
@@ -786,10 +745,7 @@ class Runtime:
         finally:
             if gc_was_enabled:
                 gc.enable()
-            if coalescing:
-                self._buffering = False
-            if svec:
-                self.svec_buffering = False
+            self._buffering = self.svec_buffering = False
             self.events_dispatched += dispatched
             if trace.level:
                 trace.events_dispatched = self.events_dispatched

@@ -20,27 +20,28 @@ class Scheduler:
     returning an unbounded delay would violate the paper's eventual-delivery
     assumption and is the one thing the adversary is *not* allowed to do.
 
-    On a coalescing runtime (``Runtime(coalesce=True)``) :meth:`delay` may
-    receive an *envelope* payload ``("env", (sub_payload, ...))`` carrying
-    several logical messages for the same destination.  A payload-sensitive
-    scheduler must either classify the envelope as a whole (see
+    The runtime coalesces, so :meth:`delay` may receive an *envelope*
+    payload ``("env", (sub_payload, ...))`` carrying several logical
+    messages for the same destination.  A payload-sensitive scheduler must
+    either classify the envelope as a whole (see
     ``repro.adversary.schedulers.VoteBalancingScheduler``) or set
     :attr:`splits_envelopes` to opt out of shared delivery entirely: the
-    runtime then schedules every buffered message individually, so the
-    adversary's per-message delay control is exactly the uncoalesced one.
+    runtime then schedules every message individually at send time, so the
+    adversary's per-message delay control is exactly the paper's.
     Address-only schedulers need neither — one shared delay per (src, dst)
     step is within the powers the model already grants the adversary.
     """
 
-    #: When True the runtime never delivers envelopes under this scheduler:
-    #: each buffered logical message gets its own :meth:`delay` call and its
-    #: own queue event (the envelope-splitting adversary path).
+    #: When True the runtime never coalesces under this scheduler: each
+    #: logical message gets its own :meth:`delay` call, at send time, and
+    #: its own queue event (the envelope-splitting adversary path).
     splits_envelopes: bool = False
 
     #: When True the VSS layer never packs session-vector (``"svec"``)
-    #: messages under this scheduler: every per-slot coin session message
-    #: travels — and is scheduled — per session, restoring the exact
-    #: pre-aggregation adversarial surface (see
+    #: messages, nor the vote layer ``"abav"`` vectors, under this
+    #: scheduler: every per-slot coin session message travels — and is
+    #: scheduled — per session, restoring the exact pre-aggregation
+    #: adversarial surface (see
     #: ``repro.adversary.schedulers.SlotSplittingScheduler`` and
     #: :mod:`repro.core.vectormux`).
     splits_slots: bool = False

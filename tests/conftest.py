@@ -37,8 +37,3 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: full-stack runs that take more than a couple of seconds"
     )
-    config.addinivalue_line(
-        "markers",
-        "batch_ingest: batched slot-vector ingestion A/B suites (CI runs "
-        "these with REPRO_BATCH_INGEST forced on and off)",
-    )

@@ -449,8 +449,6 @@ class TestSlotPoisonCompositions:
             coin="svss",
             scheduler=scheduler,
             adversary=adv,
-            svec=True,
-            coalesce=True,
             max_rounds=300,
             engine=engine,
             monitor=mon,

@@ -341,8 +341,6 @@ class TestBitIdenticalAB:
                 SystemConfig(n=4, seed=seed),
                 scheduler=FifoScheduler(),
                 engine=engine,
-                svec=True,
-                coalesce=True,
                 algebra_backend=algebra_backend,
             )
             stack.runtime.run_to_quiescence()

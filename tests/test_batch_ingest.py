@@ -1,13 +1,14 @@
 """Batched slot-vector ingestion: group verdicts, SoA lanes, vote vectors.
 
-The acceptance property mirrors the svec contract one layer down: with
-``batch_ingest=True`` one received slot-vector costs one group-level DMM
-verdict and one structure-of-arrays lane transition instead of ``n``
-per-slot handler chains, while staying equivalent *slot for slot* — coin
-outputs, per-session justifiers, parked-message sets, and per-slot
-degradation identical to the per-slot loop, on both engines, under the
-adversary matrix.  The vote-vector tests pin the same discipline one
-layer up (``K`` concurrent agreements packing their per-step votes).
+The acceptance property mirrors the svec contract one layer down: one
+received slot-vector costs one group-level DMM verdict and one
+structure-of-arrays lane transition instead of ``n`` per-slot handler
+chains, while staying equivalent *slot for slot* to the per-session
+ingestion a :class:`SlotSplittingScheduler` run takes — coin outputs,
+per-session justifiers, parked-message sets, and per-slot degradation
+identical, on both engines, under the adversary matrix.  The vote-vector
+tests pin the same discipline one layer up (``K`` concurrent agreements
+packing their per-step votes).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro.adversary.behaviors import ABALiarBehavior, SlotPoisonerBehavior
 from repro.adversary.controller import Adversary
+from repro.adversary.schedulers import SlotSplittingScheduler
 from repro.config import SystemConfig
 from repro.core.api import build_stack, flip_common_coin, run_byzantine_agreement
 from repro.core.agreement import ABAProcess
@@ -25,9 +27,12 @@ from repro.core.sessions import SVEC_MW, mw_session, svec_sid
 from repro.core.vectormux import SVEC_TAG
 from repro.sim.scheduler import FifoScheduler
 
+import test_svec
 from test_svec import coin_justifiers
 
-pytestmark = pytest.mark.batch_ingest
+
+def slot_split():
+    return SlotSplittingScheduler(FifoScheduler())
 
 
 def flip(n, seed, engine="flat", **kw):
@@ -35,28 +40,35 @@ def flip(n, seed, engine="flat", **kw):
         SystemConfig(n=n, seed=seed),
         scheduler=kw.pop("scheduler", FifoScheduler()),
         engine=engine,
-        svec=True,
         **kw,
     )
     stack.runtime.run_to_quiescence()
     return result, stack
 
 
+#: Events of the n=4 FIFO coin (any seed) and of the n=4 seed-7 FIFO
+#: agreement, recorded on the per-slot unpack loop that batched ingestion
+#: replaced (``batch_ingest=False``): the batched path must not move them.
+PER_SLOT_COIN_EVENTS = 9816
+PER_SLOT_AGREEMENT_EVENTS = 5036
+
+
 class TestBitIdenticalCoin:
-    """Coin invocations are bit-identical batch ingestion on and off."""
+    """Coin invocations are bit-identical to the per-session ingestion of
+    the slot-split run."""
 
     @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("seed", range(3))
     def test_outputs_events_and_justifiers_identical(self, engine, seed):
-        off, stack_off = flip(4, seed, engine=engine, batch_ingest=False)
-        on, stack_on = flip(4, seed, engine=engine, batch_ingest=True)
+        off, stack_off = flip(4, seed, engine=engine, scheduler=slot_split())
+        on, stack_on = flip(4, seed, engine=engine)
         assert on.outputs == off.outputs
-        assert on.events_dispatched == off.events_dispatched
+        assert on.events_dispatched == PER_SLOT_COIN_EVENTS
         assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
 
     def test_batched_path_actually_engages(self):
-        on, _ = flip(4, 1, batch_ingest=True)
-        off, _ = flip(4, 1, batch_ingest=False)
+        on, _ = flip(4, 1)
+        off, _ = flip(4, 1, scheduler=slot_split())
         assert on.svec_batch_ingested > 0
         assert on.dmm_verdicts_batched > 0
         # The headline metric: group verdicts shrink per-slot handler work.
@@ -72,40 +84,31 @@ class TestBitIdenticalCoin:
             {4: SlotPoisonerBehavior(random.Random(1), fixed_slot=2)}
         )
         off, stack_off = flip(
-            4, 1, engine=engine, adversary=adversary(), batch_ingest=False
+            4, 1, engine=engine, adversary=adversary(), scheduler=slot_split()
         )
-        on, stack_on = flip(
-            4, 1, engine=engine, adversary=adversary(), batch_ingest=True
-        )
+        on, stack_on = flip(4, 1, engine=engine, adversary=adversary())
         assert on.outputs == off.outputs
         assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
 
     def test_agreement_decisions_identical(self):
-        def run(batch_ingest):
+        def run(scheduler):
             return run_byzantine_agreement(
                 [i % 2 for i in range(4)],
                 SystemConfig(n=4, seed=7),
                 coin="svss",
-                scheduler=FifoScheduler(),
-                svec=True,
-                batch_ingest=batch_ingest,
+                scheduler=scheduler,
             )
 
-        off, on = run(False), run(True)
+        off, on = run(slot_split()), run(FifoScheduler())
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
-        assert on.events_dispatched == off.events_dispatched
+        assert on.events_dispatched == PER_SLOT_AGREEMENT_EVENTS
         assert on.svec_batch_ingested > 0
 
 
-def make_manager(batch_ingest):
-    stack = build_stack(
-        SystemConfig(n=4, seed=0),
-        scheduler=FifoScheduler(),
-        svec=True,
-        batch_ingest=batch_ingest,
-    )
+def make_manager():
+    stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
     return stack, stack.vss[1]
 
 
@@ -124,11 +127,12 @@ class TestGroupVerdictFallback:
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
-    def drive(self, batch_ingest):
+    def drive(self, batched):
         """One vector whose slot-1 session began *before* and slot-2
         session *after* the sender's armed session completed: slot 1 must
-        FORWARD while slot 2 must DELAY."""
-        stack, mgr = make_manager(batch_ingest)
+        FORWARD while slot 2 must DELAY.  ``batched=False`` delivers the
+        two slots as the per-session messages a slot-split wire carries."""
+        stack, mgr = make_manager()
         sid1 = svec_sid(self.GROUP, 1)
         sid2 = svec_sid(self.GROUP, 2)
         inst1 = mgr._ensure_mw(sid1)  # begun before the armed session
@@ -137,26 +141,32 @@ class TestGroupVerdictFallback:
         arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
         mgr._ensure_mw(sid2)  # begun after => owed < begun => DELAY
         mgr.dmm.dirty.clear()
-        mgr.mux.on_private(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22))))
+        if batched:
+            mgr.mux.on_private(
+                2, (SVEC_TAG, "cnf", self.GROUP, ((1, 11), (2, 22)))
+            )
+        else:
+            mgr._on_private(2, ("v", sid1, "cnf", 11))
+            mgr._on_private(2, ("v", sid2, "cnf", 22))
         return stack, mgr, handled, sid1, sid2
 
     def test_divergent_slots_fall_back_per_slot(self):
-        stack, mgr, handled, sid1, sid2 = self.drive(batch_ingest=True)
+        stack, mgr, handled, sid1, sid2 = self.drive(batched=True)
         assert handled == [(2, "cnf", 11)]
         assert set(mgr._delayed) == {(2, sid2)}
         assert stack.runtime.dmm_verdict_fallbacks == 2
         assert stack.runtime.dmm_verdicts_batched == 0
 
     def test_outcomes_identical_to_unbatched(self):
-        _, mgr_on, handled_on, *_ = self.drive(batch_ingest=True)
-        _, mgr_off, handled_off, *_ = self.drive(batch_ingest=False)
+        _, mgr_on, handled_on, *_ = self.drive(batched=True)
+        _, mgr_off, handled_off, *_ = self.drive(batched=False)
         assert handled_on == handled_off
         assert set(mgr_on._delayed) == set(mgr_off._delayed)
         assert mgr_on._delayed == mgr_off._delayed
 
     def test_uniform_delay_takes_group_verdict(self):
         """Both slots begun after arming: one group verdict parks both."""
-        stack, mgr = make_manager(batch_ingest=True)
+        stack, mgr = make_manager()
         arm_sender(mgr, 2, mw_session(("owed", 0), 2, 3, "dm"))
         sid1, sid2 = svec_sid(self.GROUP, 1), svec_sid(self.GROUP, 2)
         mgr._ensure_mw(sid1)
@@ -168,7 +178,7 @@ class TestGroupVerdictFallback:
         assert stack.runtime.dmm_verdict_fallbacks == 0
 
     def test_convicted_sender_discarded_whole(self):
-        stack, mgr = make_manager(batch_ingest=True)
+        stack, mgr = make_manager()
         mgr.dmm.D.add(2)
         handled = []
         inst1 = mgr._ensure_mw(svec_sid(self.GROUP, 1))
@@ -178,60 +188,14 @@ class TestGroupVerdictFallback:
         assert mgr._delayed == {}
 
 
-class TestBatchedUnpackSemantics:
-    """The per-slot degradation contract on the batched path (the
-    ``batch_ingest=False`` equivalents live in ``tests/test_svec.py``)."""
+class TestBatchedUnpackSemantics(test_svec.TestSlotVectorUnpack):
+    """The per-slot degradation contract of ``tests/test_svec.py``, on an
+    MW-SVSS group."""
 
     GROUP = (SVEC_MW, ("cc", "solo", 0), 2, 2, 3, "md")
 
-    def spy(self, mgr, slots):
-        handled = {}
-        for slot in slots:
-            inst = mgr._ensure_mw(svec_sid(self.GROUP, slot))
-            calls = handled[slot] = []
-            inst.handle = lambda *a, calls=calls: calls.append(a)
-        return handled
-
-    def test_malformed_slots_degrade_independently(self):
-        _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1, 3))
-        mgr.mux.on_private(
-            2,
-            (
-                SVEC_TAG,
-                "cnf",
-                self.GROUP,
-                ((1, 5), "junk", (2,), ([1], 7), ("x", 8), (3, 9)),
-            ),
-        )
-        assert handled[1] == [(2, "cnf", 5)]
-        assert handled[3] == [(2, "cnf", 9)]
-
-    def test_crash_mid_vector_drops_remaining_slots(self):
-        _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1, 2, 3, 4))
-        crash_after = 2
-
-        def crashing(*a, inst=mgr.mw[svec_sid(self.GROUP, 2)]):
-            handled[2].append(a)
-            mgr.host.crashed = True
-
-        mgr.mw[svec_sid(self.GROUP, 2)].handle = crashing
-        mgr.mux.on_private(
-            2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5), (2, 6), (3, 7), (4, 8)))
-        )
-        assert len(handled[1]) + len(handled[2]) == crash_after
-        assert handled[3] == [] and handled[4] == []
-
-    def test_transport_enforcement_covers_vectors(self):
-        _, mgr = make_manager(batch_ingest=True)
-        handled = self.spy(mgr, (1,))
-        mgr.mux.on_private(2, (SVEC_TAG, "L", self.GROUP, ((1, (2, 3)),)))
-        mgr.mux.on_rb(2, (SVEC_TAG, "cnf", self.GROUP, ((1, 5),)))
-        assert handled[1] == []
-
     def test_forged_group_dropped_whole(self):
-        stack, mgr = make_manager(batch_ingest=True)
+        stack, mgr = make_manager()
         bad_dealer = (SVEC_MW, ("cc", "solo", 0), 9, 9, 3, "md")
         mgr.mux.on_private(2, (SVEC_TAG, "cnf", bad_dealer, ((1, 5),)))
         assert mgr.mw == {}
@@ -251,7 +215,7 @@ class TestDelayedBacklogIndex:
         assert sum(1 for key in mgr._delayed if key[0] == sender) == count
 
     def test_release_rescans_only_dirty_senders_keys(self):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         owed2 = mw_session(("owed", 2), 2, 3, "dm")
         owed4 = mw_session(("owed", 4), 4, 3, "dm")
         self.park(mgr, 2, owed2, count=25)
@@ -267,7 +231,7 @@ class TestDelayedBacklogIndex:
         assert len(mgr._delayed) == 25
 
     def test_released_backlog_replays_in_park_order(self):
-        _, mgr = make_manager(batch_ingest=True)
+        _, mgr = make_manager()
         owed = mw_session(("owed", 2), 2, 3, "dm")
         arm_sender(mgr, 2, owed)
         mgr._release_delayed()
@@ -313,7 +277,6 @@ class TestVoteVectorMux:
             SystemConfig(n=4, seed=seed),
             scheduler=FifoScheduler(),
             adversary=adversary,
-            svec=True,
         )
         procs = {
             (pid, i): ABAProcess(
@@ -344,10 +307,8 @@ class TestVoteVectorMux:
         """The A/B discipline one layer up: packed vote vectors leave every
         instance's decisions exactly where plain per-vote broadcasts do."""
 
-        def decisions(svec):
-            stack = build_stack(
-                SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=svec
-            )
+        def decisions(scheduler):
+            stack = build_stack(SystemConfig(n=4, seed=0), scheduler=scheduler)
             procs = {
                 (pid, i): ABAProcess(
                     stack.runtime.host(pid),
@@ -365,7 +326,7 @@ class TestVoteVectorMux:
             stack.runtime.run_to_quiescence()
             return {key: proc.decided for key, proc in procs.items()}
 
-        assert decisions(svec=True) == decisions(svec=False)
+        assert decisions(FifoScheduler()) == decisions(slot_split())
 
     def test_solo_agreement_never_packs(self):
         """A single live instance replays the per-vote wire stream."""
@@ -385,9 +346,7 @@ class TestVoteVectorMux:
     def test_forged_vote_vector_validated_per_entry(self):
         """A forged ("abav", ...) vector grants nothing beyond broadcasting
         the votes individually: per-entry shape + per-instance validation."""
-        stack = build_stack(
-            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
-        )
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         host = stack.runtime.host(1)
         procs = [
             ABAProcess(
@@ -416,9 +375,7 @@ class TestVoteVectorMux:
         assert procs[1]._round_state(1).received[1] == {3: 0}
 
     def test_closed_instances_stop_counting(self):
-        stack = build_stack(
-            SystemConfig(n=4, seed=0), scheduler=FifoScheduler(), svec=True
-        )
+        stack = build_stack(SystemConfig(n=4, seed=0), scheduler=FifoScheduler())
         host = stack.runtime.host(1)
         procs = [
             ABAProcess(

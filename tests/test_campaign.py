@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from repro.adversary.controller import random_adversary
@@ -14,7 +16,29 @@ from repro.sim.campaign import (
     campaign_matrix,
     run_campaign,
 )
-from repro.sim.experiments import RunRecord, Scenario, SweepResult, run_scenario
+from repro.sim.experiments import (
+    RunRecord,
+    Scenario,
+    SweepResult,
+    aggregated_scheduler,
+    run_scenario,
+)
+from repro.sim.scheduler import FifoScheduler
+
+#: (splits_envelopes, splits_slots) of each aggregation mode's wrappers.
+SPLITS = {
+    "plain": (True, True),
+    "coalesce": (False, True),
+    "svec": (True, False),
+    "coalesce+svec": (False, False),
+}
+
+
+@lru_cache(maxsize=None)
+def fifo_svss_record(mode: str) -> RunRecord:
+    return run_scenario(
+        Scenario(n=4, seed=1, scheduler="fifo", coin="svss", aggregation=mode)
+    )
 
 
 class TestMatrix:
@@ -28,13 +52,10 @@ class TestMatrix:
         )
         assert len(matrix) == 2 * 2 * 2 * 3
         assert all(s.monitor for s in matrix)
-        assert {(s.coalesce, s.svec) for s in matrix} == {
-            (False, False),
-            (True, False),
-        }
+        assert {s.aggregation for s in matrix} == {"plain", "coalesce"}
 
     def test_owned_axes_cannot_be_overridden(self):
-        for owned in ("monitor", "coalesce", "svec"):
+        for owned in ("monitor", "aggregation"):
             with pytest.raises(ConfigurationError):
                 campaign_matrix(seeds=range(1), **{owned: True})
 
@@ -43,19 +64,40 @@ class TestMatrix:
             campaign_matrix(modes=("plain", "warp"), seeds=range(1))
 
     def test_modes_cover_both_transports(self):
-        assert AGGREGATION_MODES["plain"] == (False, False)
-        assert AGGREGATION_MODES["coalesce+svec"] == (True, True)
-        assert len(AGGREGATION_MODES) == 4
+        flags = {}
+        for name in AGGREGATION_MODES:
+            scheduler = aggregated_scheduler(FifoScheduler(), name)
+            flags[name] = (scheduler.splits_envelopes, scheduler.splits_slots)
+        assert flags == SPLITS
+
+    @pytest.mark.parametrize("mode", list(SPLITS))
+    def test_aggregation_mode_splits_its_layers(self, mode):
+        """Each mode strips exactly its layers, and under FIFO every mode
+        decides what the per-message wire decides."""
+        split_envelopes, split_slots = SPLITS[mode]
+        record = fifo_svss_record(mode)
+        assert record.agreed
+        assert (record.envelopes_pushed == 0) == split_envelopes
+        assert (record.svec_packed == 0) == split_slots
+        plain = fifo_svss_record("plain")
+        assert (record.decision, record.rounds) == (plain.decision, plain.rounds)
 
 
 class TestCell:
     def test_aggregation_name_round_trips(self):
-        for name, (coalesce, svec) in AGGREGATION_MODES.items():
-            cell = CampaignCell("none", "uniform", coalesce, svec)
+        for name in AGGREGATION_MODES:
+            (scenario,) = campaign_matrix(
+                adversaries=("none",),
+                schedulers=("fifo",),
+                modes=(name,),
+                seeds=range(1),
+            )
+            cell = CampaignCell("none", "fifo", scenario.aggregation)
             assert cell.aggregation == name
+            assert cell.describe() == f"none x fifo x {name}"
 
     def test_describe(self):
-        cell = CampaignCell("random", "eclipse", True, True)
+        cell = CampaignCell("random", "eclipse", "coalesce+svec")
         assert cell.describe() == "random x eclipse x coalesce+svec"
 
 
@@ -113,7 +155,7 @@ class TestRunCampaign:
         assert record.invariant_violation is not None
         assert record.invariant_violation.startswith("[liveness]")
         assert not record.agreed
-        cell = CampaignCell("none", "uniform", False, False)
+        cell = CampaignCell("none", "uniform", record.scenario.aggregation)
         res = CampaignResult(cells={cell: SweepResult(records=[record])})
         assert not res.ok
         assert res.violations == [record]

@@ -1,16 +1,19 @@
 """Wire-level message coalescing: envelopes, determinism, adversaries.
 
-The load-bearing property is that coalescing is a *pure event-count
-optimization*: under a fixed-delay scheduler, decisions AND per-party
-delivered logical-message sequences are bit-identical to the uncoalesced
-run, on both dispatch engines — only the number of queue events shrinks
-(one envelope per (src, dst) pair per dispatch step instead of one event
-per logical message).  The adversarial tests then pin the per-logical-
-message contract: outbound filters see individual messages, crash points
-are unchanged, a crash mid-envelope drops the rest of the envelope, a
-vote-balancing scheduler classifies envelopes by their dominant
-sub-payload, and an envelope-splitting scheduler reproduces the
-uncoalesced run exactly.
+The simulator always coalesces; the per-message wire of the paper's model
+is the run under :class:`EnvelopeSplittingScheduler` (here composed with
+:class:`SlotSplittingScheduler`, so the reference carries no vectors
+either).  The load-bearing property is that coalescing is a *pure
+event-count optimization*: under a fixed-delay scheduler, decisions AND
+per-party delivered logical-message sequences are bit-identical to the
+split run, on both dispatch engines — only the number of queue events
+shrinks (one envelope per (src, dst) pair per dispatch step instead of one
+event per logical message).  The adversarial tests then pin the
+per-logical-message contract: outbound filters see individual messages,
+crash points are unchanged, a crash mid-envelope drops the rest of the
+envelope, a vote-balancing scheduler classifies envelopes and vote vectors
+by their dominant vote, and the splitting schedulers reproduce the
+recorded per-message runs exactly, under fixed and uniform delays.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from repro.adversary.behaviors import CrashBehavior, MutatingBehavior
 from repro.adversary.controller import Adversary
 from repro.adversary.schedulers import (
     EnvelopeSplittingScheduler,
+    SlotSplittingScheduler,
     VoteBalancingScheduler,
 )
 from repro.config import SystemConfig
@@ -37,7 +41,8 @@ from repro.core.api import (
 from repro.protocols.cr_avss import cr_coin
 from repro.sim.process import ENVELOPE_TAG
 from repro.sim.runtime import Runtime
-from repro.sim.scheduler import FifoScheduler, Scheduler
+from repro.sim.scheduler import FifoScheduler, Scheduler, UniformDelayScheduler
+from repro.sim.tracing import TRACE_COUNTS
 
 IDEAL = ("ideal", 1.0)
 
@@ -50,42 +55,49 @@ def split_matrix(n: int, k: int) -> list[list[int]]:
     return [[(i + shift) % 2 for i in range(n)] for shift in range(k)]
 
 
-def run_solo(n, seed, coin, engine="flat", coalesce=False, scheduler=None, **kw):
+def per_message(base=None):
+    """The paper's per-message wire: ``base`` with both layers split."""
+    base = base if base is not None else FifoScheduler()
+    return EnvelopeSplittingScheduler(SlotSplittingScheduler(base))
+
+
+def run_solo(n, seed, coin, engine="flat", split=False, scheduler=None, **kw):
+    base = scheduler if scheduler is not None else FifoScheduler()
     return run_byzantine_agreement(
         split_inputs(n),
         SystemConfig(n=n, seed=seed),
         coin=coin,
-        scheduler=scheduler if scheduler is not None else FifoScheduler(),
+        scheduler=per_message(base) if split else base,
         engine=engine,
-        coalesce=coalesce,
         **kw,
     )
 
 
-def run_batch(inputs, seed, coin, engine="flat", coalesce=False, scheduler=None, **kw):
+def run_batch(inputs, seed, coin, engine="flat", split=False, scheduler=None, **kw):
+    base = scheduler if scheduler is not None else FifoScheduler()
     return run_byzantine_agreement_batch(
         inputs,
         SystemConfig(n=len(inputs[0]), seed=seed),
         coin=coin,
-        scheduler=scheduler if scheduler is not None else FifoScheduler(),
+        scheduler=per_message(base) if split else base,
         engine=engine,
-        coalesce_votes=coalesce,
         **kw,
     )
 
 
 class TestBitIdenticalDecisions:
-    """The acceptance property: coalescing on vs off, flat and legacy, per
-    seed, across the shipped fixed-delay schedulers."""
+    """The acceptance property: the default run vs the per-message run,
+    flat and legacy, per seed, across the shipped fixed-delay
+    schedulers."""
 
     @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("scheduler_cls", [Scheduler, FifoScheduler])
     @pytest.mark.parametrize("seed", range(3))
     def test_solo_ideal(self, engine, scheduler_cls, seed):
-        off = run_solo(7, seed, IDEAL, engine=engine, scheduler=scheduler_cls())
-        on = run_solo(
-            7, seed, IDEAL, engine=engine, scheduler=scheduler_cls(), coalesce=True
+        off = run_solo(
+            7, seed, IDEAL, engine=engine, scheduler=scheduler_cls(), split=True
         )
+        on = run_solo(7, seed, IDEAL, engine=engine, scheduler=scheduler_cls())
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -96,8 +108,8 @@ class TestBitIdenticalDecisions:
     def test_solo_svss_full_stack(self, engine):
         """The full shunning stack (broadcast + VSS + DMM + coin) under
         envelopes: identical decisions, far fewer events."""
-        off = run_solo(4, 7, "svss", engine=engine)
-        on = run_solo(4, 7, "svss", engine=engine, coalesce=True)
+        off = run_solo(4, 7, "svss", engine=engine, split=True)
+        on = run_solo(4, 7, "svss", engine=engine)
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -113,7 +125,7 @@ class TestBitIdenticalDecisions:
         """Both engines dispatch the identical coalesced event stream."""
 
         def golden(engine):
-            result = run_solo(4, 7, "svss", engine=engine, coalesce=True)
+            result = run_solo(4, 7, "svss", engine=engine)
             return (
                 dict(result.decisions),
                 result.events_dispatched,
@@ -126,16 +138,18 @@ class TestBitIdenticalDecisions:
 
     def test_coin_flip_identical_and_reduced(self):
         cfg = SystemConfig(n=7, seed=5)
-        off, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
-        on, _ = flip_common_coin(cfg, scheduler=FifoScheduler(), coalesce=True)
+        off, _ = flip_common_coin(
+            cfg, scheduler=EnvelopeSplittingScheduler(FifoScheduler())
+        )
+        on, _ = flip_common_coin(cfg, scheduler=FifoScheduler())
         assert on.outputs == off.outputs
         # The n² MW-SVSS sessions share (src, dst) pairs per step, so the
         # event bill collapses by far more than the gate's 2x.
         assert on.events_dispatched * 2 < off.events_dispatched
 
     def test_replay_deterministic(self):
-        a = run_solo(4, 3, "svss", coalesce=True)
-        b = run_solo(4, 3, "svss", coalesce=True)
+        a = run_solo(4, 3, "svss")
+        b = run_solo(4, 3, "svss")
         assert a.decisions == b.decisions
         assert a.events_dispatched == b.events_dispatched
         assert a.envelopes_pushed == b.envelopes_pushed
@@ -152,8 +166,13 @@ class TestDeliveredSequences:
     the decision A/B tests pin the regrouping as decision-invariant.)"""
 
     def _logged_run(self, coalesce: bool):
+        # Slots stay split on both sides: session vectors change the
+        # logical messages themselves, envelopes only their framing.
         config = SystemConfig(n=4, seed=9)
-        stack = build_stack(config, scheduler=FifoScheduler(), coalesce=coalesce)
+        scheduler = SlotSplittingScheduler(FifoScheduler())
+        if not coalesce:
+            scheduler = EnvelopeSplittingScheduler(scheduler)
+        stack = build_stack(config, scheduler=scheduler)
         log: dict[int, list] = {pid: [] for pid in config.pids}
         for pid, host in stack.runtime.hosts.items():
             for tag, handler in list(host._handlers.items()):
@@ -214,10 +233,8 @@ class TestDeliveredSequences:
 class TestEnvelopeUnpack:
     """Receiver-side envelope semantics, driven directly."""
 
-    def make_runtime(self, coalesce=True):
-        return Runtime(
-            SystemConfig(n=2, seed=0), scheduler=FifoScheduler(), coalesce=coalesce
-        )
+    def make_runtime(self):
+        return Runtime(SystemConfig(n=2, seed=0), scheduler=FifoScheduler())
 
     def test_crash_mid_envelope_drops_remaining_subpayloads(self):
         rt = self.make_runtime()
@@ -260,7 +277,10 @@ class TestEnvelopeUnpack:
         assert got == [("a", 42)]
 
     def test_env_tag_reserved(self):
-        rt = self.make_runtime(coalesce=False)
+        rt = Runtime(
+            SystemConfig(n=2, seed=0),
+            scheduler=EnvelopeSplittingScheduler(FifoScheduler()),
+        )
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
@@ -281,9 +301,7 @@ class TestAdversarialSemantics:
     power is lost when coalescing is on."""
 
     def test_outbound_filter_sees_logical_messages_not_envelopes(self):
-        rt = Runtime(
-            SystemConfig(n=2, seed=0), scheduler=FifoScheduler(), coalesce=True
-        )
+        rt = Runtime(SystemConfig(n=2, seed=0), scheduler=FifoScheduler())
         sender, receiver = rt.host(2), rt.host(1)
         got, seen = [], []
         receiver.register_handler("x", lambda s, p: got.append(p))
@@ -313,19 +331,19 @@ class TestAdversarialSemantics:
     @pytest.mark.parametrize("seed", range(3))
     def test_crash_spanning_instances_identical_on_off(self, seed):
         """CrashBehavior counts *logical* sends, so the crash point — and
-        every decision — is identical with coalescing on."""
+        every decision — is identical on the aggregated wire."""
         inputs = split_matrix(7, 4)
 
-        def run(coalesce):
+        def run(split):
             return run_batch(
                 inputs,
                 seed,
                 IDEAL,
-                coalesce=coalesce,
+                split=split,
                 adversary=Adversary({7: CrashBehavior(after_messages=40)}),
             )
 
-        off, on = run(False), run(True)
+        off, on = run(True), run(False)
         assert off.terminated and off.agreed
         assert on.terminated and on.agreed
         for iid in off.instance_ids:
@@ -340,39 +358,84 @@ class TestAdversarialSemantics:
             inputs,
             seed,
             IDEAL,
-            coalesce=True,
             adversary=Adversary({4: MutatingBehavior(random.Random(seed), rate=0.4)}),
         )
         assert batch.terminated and batch.agreed
 
+    #: Per-message runs recorded before the coalescing switch was retired
+    #: (``coalesce=False``): (events, wire pushes, max rounds, decisions).
+    FIFO_GOLDEN = (8708, 9016, 2, (0, 1, 0, 1))
+    #: K=4 n=4 ideal-coin batch under uniform delays, per seed.
+    UNIFORM_BATCH_GOLDEN = {
+        0: (3414, 3532, 3, (1, 1, 0, 0)),
+        1: (3468, 3548, 3, (1, 1, 1, 1)),
+        2: (3500, 3612, 3, (1, 1, 1, 1)),
+        3: (3440, 3536, 3, (0, 0, 0, 0)),
+    }
+    #: n=4 SVSS coin with session vectors under uniform delays, per seed:
+    #: (events, wire pushes, coin bit).
+    UNIFORM_COIN_GOLDEN = {0: (60611, 60716, 1), 1: (63313, 63740, 0)}
+
+    @staticmethod
+    def summary(batch):
+        return (
+            batch.events_dispatched,
+            batch.messages_pushed,
+            batch.max_rounds,
+            tuple(batch.decisions[iid] for iid in batch.instance_ids),
+        )
+
     def test_splitting_scheduler_reproduces_uncoalesced_run(self):
         """The envelope-splitting adversary path: per-message scheduling is
-        fully restored — the run is the uncoalesced one, bit for bit."""
-        inputs = split_matrix(7, 4)
-        off = run_batch(inputs, 3, IDEAL, coalesce=False)
-        split = run_batch(
-            inputs,
-            3,
-            IDEAL,
-            coalesce=True,
-            scheduler=EnvelopeSplittingScheduler(FifoScheduler()),
-        )
-        assert split.envelopes_pushed == 0
-        assert split.events_dispatched == off.events_dispatched
-        assert split.messages_pushed == off.messages_pushed
-        for iid in off.instance_ids:
-            assert split.results[iid].decisions == off.results[iid].decisions
-            assert split.results[iid].rounds == off.results[iid].rounds
+        fully restored — the run is the per-message one, bit for bit, for
+        a fixed-delay base and for a random one (delays are drawn at send
+        time, in send order, exactly as without a send buffer)."""
+        fifo = run_batch(split_matrix(7, 4), 3, IDEAL, split=True)
+        assert fifo.envelopes_pushed == 0
+        assert self.summary(fifo) == self.FIFO_GOLDEN
+        for seed, golden in self.UNIFORM_BATCH_GOLDEN.items():
+            cfg = SystemConfig(n=4, seed=seed)
+            batch = run_batch(
+                split_matrix(4, 4),
+                seed,
+                IDEAL,
+                split=True,
+                scheduler=UniformDelayScheduler(cfg.derive_rng("scheduler")),
+            )
+            assert batch.envelopes_pushed == 0
+            assert self.summary(batch) == golden, seed
+        for seed, (events, pushed, bit) in self.UNIFORM_COIN_GOLDEN.items():
+            cfg = SystemConfig(n=4, seed=seed)
+            coin, _ = flip_common_coin(
+                cfg,
+                scheduler=EnvelopeSplittingScheduler(
+                    UniformDelayScheduler(cfg.derive_rng("scheduler"))
+                ),
+                trace_level=TRACE_COUNTS,
+            )
+            assert coin.envelopes_pushed == 0 and coin.svec_packed > 0
+            assert (coin.events_dispatched, coin.messages_pushed) == (
+                events,
+                pushed,
+            ), seed
+            assert set(coin.outputs.values()) == {bit}
 
 
 class TestVoteBalancingOverEnvelopes:
-    """The satellite fix: the balancing scheduler classifies envelopes by
-    their dominant vote sub-payload instead of falling through to the
-    default delay."""
+    """The balancing scheduler classifies envelopes and packed vote vectors
+    by their dominant vote instead of falling through to the default
+    delay."""
 
     @staticmethod
     def aba_vote(value, phase=1, instance=("aba", 0), r=1, origin=1):
         return ("b1", (origin, "aba", instance, r, phase), ("aba", instance, r, phase, value))
+
+    @staticmethod
+    def vote_vector(*values, origin=1):
+        entries = tuple(
+            (("aba", k), 1, 1, value) for k, value in enumerate(values)
+        )
+        return ("b2", (origin, "abav", 0), ("abav", 0, entries))
 
     def test_envelope_classified_by_dominant_subpayload(self):
         vote = self.aba_vote
@@ -388,6 +451,20 @@ class TestVoteBalancingOverEnvelopes:
         assert VoteBalancingScheduler._vote_value(vote(1)) == 1
         assert VoteBalancingScheduler._vote_value(("v", 1)) is None
 
+    def test_vote_vector_classified_by_dominant_entry(self):
+        value_of = VoteBalancingScheduler._vote_value
+        assert value_of(self.vote_vector(1, 0, 1)) == 1
+        assert value_of(self.vote_vector(0, 0, 1)) == 0
+        # Ties break to the first entry; flagged phase-3 votes count.
+        assert value_of(self.vote_vector(0, 1)) == 0
+        assert value_of(self.vote_vector((1, (2,)), 0, (1, (3,)))) == 1
+        # Malformed entries abstain; an all-malformed vector is no vote.
+        assert value_of(self.vote_vector("x", 1)) == 1
+        assert value_of(("b1", (1, "abav", 0), ("abav", 0, ("junk",)))) is None
+        # Envelopes of vectors are classified by the vectors' values.
+        env = ("env", (self.vote_vector(0, 0), self.vote_vector(1, 1), self.vote_vector(0)))
+        assert value_of(env) == 0
+
     def test_envelope_delay_biases_by_dominant_value(self):
         cfg = SystemConfig(n=4, seed=0)
         sched = VoteBalancingScheduler(cfg, base_delay=1.0, hold=50.0)
@@ -402,11 +479,11 @@ class TestVoteBalancingOverEnvelopes:
     @pytest.mark.parametrize("seed", range(3))
     def test_balancing_still_bites_under_coalesce_votes(self, seed):
         """Against an always-failing coin the balancing schedule must keep
-        a coalesced batch split past any round cap — if envelope events
+        an aggregated batch split past any round cap — if vote vectors
         fell through to the base delay, the run would terminate in ~2
         rounds (the FIFO control shows exactly that)."""
         n, k = 4, 4
-        rows = [[i % 2 for i in range(n)]] * k  # aligned: envelopes carry
+        rows = [[i % 2 for i in range(n)]] * k  # aligned: vectors carry
         # same-valued votes, so classification is exact
         cfg = SystemConfig(n=n, seed=seed)
         balanced = run_byzantine_agreement_batch(
@@ -414,10 +491,9 @@ class TestVoteBalancingOverEnvelopes:
             cfg,
             coin=cr_coin(cfg, 1.0),
             scheduler=VoteBalancingScheduler(cfg),
-            coalesce_votes=True,
             max_rounds=15,
         )
-        assert balanced.envelopes_pushed > 0  # coalescing really was on
+        assert balanced.svec_packed > 0  # votes really travelled packed
         assert not balanced.terminated
         cfg2 = SystemConfig(n=n, seed=seed)
         control = run_byzantine_agreement_batch(
@@ -425,21 +501,20 @@ class TestVoteBalancingOverEnvelopes:
             cfg2,
             coin=cr_coin(cfg2, 1.0),
             scheduler=FifoScheduler(),
-            coalesce_votes=True,
             max_rounds=15,
         )
         assert control.terminated and control.max_rounds <= 4
 
 
 class TestBatchVoteCoalescing:
-    """coalesce_votes=True: all K instances' votes per (round, phase) ride
+    """All K instances' votes per (round, phase) ride one vote vector and
     one envelope — the ideal-coin batch becomes ~K×-shaped."""
 
     @pytest.mark.parametrize("engine", ["flat", "legacy"])
     def test_k16_ideal_decisions_identical_and_k_shaped(self, engine):
         inputs = split_matrix(7, 16)
-        off = run_batch(inputs, 11, IDEAL, engine=engine)
-        on = run_batch(inputs, 11, IDEAL, engine=engine, coalesce=True)
+        off = run_batch(inputs, 11, IDEAL, engine=engine, split=True)
+        on = run_batch(inputs, 11, IDEAL, engine=engine)
         assert on.agreed and off.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
@@ -452,7 +527,7 @@ class TestBatchVoteCoalescing:
         inputs = split_matrix(7, 5)
 
         def golden(engine):
-            batch = run_batch(inputs, 23, IDEAL, engine=engine, coalesce=True)
+            batch = run_batch(inputs, 23, IDEAL, engine=engine)
             return (
                 {iid: r.decisions for iid, r in batch.results.items()},
                 batch.events_dispatched,
@@ -464,27 +539,9 @@ class TestBatchVoteCoalescing:
 
     def test_svss_batch_decisions_identical_on_off(self):
         inputs = split_matrix(4, 3)
-        off = run_batch(inputs, 3, "svss")
-        on = run_batch(inputs, 3, "svss", coalesce=True)
+        off = run_batch(inputs, 3, "svss", split=True)
+        on = run_batch(inputs, 3, "svss")
         assert on.agreed and off.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
         assert on.events_dispatched * 4 < off.events_dispatched
-
-    def test_scenario_coalesce_axis(self):
-        from repro.sim.experiments import Scenario, run_scenario
-
-        off = run_scenario(
-            Scenario(n=7, seed=1, scheduler="fifo", coin=IDEAL, batch=4)
-        )
-        on = run_scenario(
-            Scenario(n=7, seed=1, scheduler="fifo", coin=IDEAL, batch=4, coalesce=True)
-        )
-        assert off.agreed and on.agreed
-        assert on.decision == off.decision
-        assert on.events_dispatched < off.events_dispatched
-        # Solo scenarios accept the axis too.
-        solo = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss", coalesce=True)
-        )
-        assert solo.agreed

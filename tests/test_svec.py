@@ -1,16 +1,17 @@
 """Session-vector aggregation: packing, determinism, adversary contract.
 
-The load-bearing property is that slot-vector aggregation is a pure
-*logical-message-count* optimization: under fixed-delay schedulers one
-SVSS-coin invocation with ``svec=True`` produces bit-identical coin
-outputs and per-session justifiers (attach sets, accepted sets, eval
-sets, party values) to the unaggregated run, per seed, on both engines —
-while dispatching ~n× fewer logical messages.  The adversarial tests pin
-the extended PR-4 contract: corrupt senders emit per-session messages
-(mutators and crash budgets act on logical *slot* messages), a slot-level
-fault never poisons its vector siblings, a receiver crash mid-vector
-drops the remaining slots, and a ``SlotSplittingScheduler`` replays the
-uncoalesced per-session run bit for bit.
+The simulator always packs session vectors; the per-session wire is the
+run under :class:`SlotSplittingScheduler`.  The load-bearing property is
+that slot-vector aggregation is a pure *logical-message-count*
+optimization: under fixed-delay schedulers one SVSS-coin invocation
+produces bit-identical coin outputs and per-session justifiers (attach
+sets, accepted sets, eval sets, party values) to the slot-split run, per
+seed, on both engines — while dispatching ~n× fewer logical messages.
+The adversarial tests pin the extended coalescing contract: corrupt
+senders emit per-session messages (mutators and crash budgets act on
+logical *slot* messages), a slot-level fault never poisons its vector
+siblings, a receiver crash mid-vector drops the remaining slots, and the
+splitting schedulers replay the recorded per-session run bit for bit.
 """
 
 from __future__ import annotations
@@ -69,14 +70,19 @@ def coin_justifiers(stack):
     return state
 
 
+def slot_split():
+    return SlotSplittingScheduler(FifoScheduler())
+
+
 class TestBitIdenticalCoin:
-    """The acceptance property: svec on vs off, flat and legacy, per seed."""
+    """The acceptance property: the default run vs the slot-split run,
+    flat and legacy, per seed."""
 
     @pytest.mark.parametrize("engine", ["flat", "legacy"])
     @pytest.mark.parametrize("seed", range(3))
     def test_coin_outputs_and_justifiers_identical(self, engine, seed):
-        off, stack_off = flip(4, seed, engine=engine)
-        on, stack_on = flip(4, seed, engine=engine, svec=True)
+        off, stack_off = flip(4, seed, engine=engine, scheduler=slot_split())
+        on, stack_on = flip(4, seed, engine=engine)
         assert on.outputs == off.outputs
         assert coin_justifiers(stack_on) == coin_justifiers(stack_off)
         # The aggregation must actually bite: ~n× fewer logical messages.
@@ -87,9 +93,13 @@ class TestBitIdenticalCoin:
     def test_composes_with_coalescing(self):
         """svec packs logical messages, coalesce packs wire events; together
         the vectors still ride envelopes."""
-        base, _ = flip(4, 7)
-        svec_only, _ = flip(4, 7, svec=True)
-        both, stack = flip(4, 7, svec=True, coalesce=True)
+        base, _ = flip(
+            4, 7, scheduler=EnvelopeSplittingScheduler(slot_split())
+        )
+        svec_only, _ = flip(
+            4, 7, scheduler=EnvelopeSplittingScheduler(FifoScheduler())
+        )
+        both, stack = flip(4, 7)
         assert both.outputs == base.outputs == svec_only.outputs
         assert both.logical_messages == svec_only.logical_messages
         assert both.envelopes_pushed > 0
@@ -102,9 +112,7 @@ class TestBitIdenticalCoin:
         join their step's envelopes (step() vs the flat hot loop)."""
 
         def golden(engine):
-            result, _ = flip(
-                4, 5, engine=engine, svec=True, coalesce=True, quiesce=False
-            )
+            result, _ = flip(4, 5, engine=engine, quiesce=False)
             return (
                 dict(result.outputs),
                 result.events_dispatched,
@@ -120,8 +128,8 @@ class TestBitIdenticalCoin:
         assert flat[3] > 0  # vectors actually rode envelopes
 
     def test_replay_deterministic(self):
-        a, _ = flip(4, 3, svec=True, quiesce=False)
-        b, _ = flip(4, 3, svec=True, quiesce=False)
+        a, _ = flip(4, 3, quiesce=False)
+        b, _ = flip(4, 3, quiesce=False)
         assert a.outputs == b.outputs
         assert a.events_dispatched == b.events_dispatched
         assert a.svec_packed == b.svec_packed
@@ -132,17 +140,16 @@ class TestBitIdenticalCoin:
     def test_agreement_decisions_identical(self, engine):
         """The full agreement stack over the SVSS coin: per-seed A/B."""
 
-        def run(svec):
+        def run(scheduler):
             return run_byzantine_agreement(
                 [i % 2 for i in range(4)],
                 SystemConfig(n=4, seed=7),
                 coin="svss",
-                scheduler=FifoScheduler(),
+                scheduler=scheduler,
                 engine=engine,
-                svec=svec,
             )
 
-        off, on = run(False), run(True)
+        off, on = run(slot_split()), run(FifoScheduler())
         assert off.agreed and on.agreed
         assert on.decisions == off.decisions
         assert on.rounds == off.rounds
@@ -156,90 +163,72 @@ class TestBitIdenticalCoin:
 
         rows = [[(i + s) % 2 for i in range(4)] for s in range(3)]
 
-        def run(**kw):
+        def run(scheduler):
             return run_byzantine_agreement_batch(
                 rows,
                 SystemConfig(n=4, seed=3),
                 coin="svss",
-                scheduler=FifoScheduler(),
-                **kw,
+                scheduler=scheduler,
             )
 
-        off, on = run(), run(svec=True, coalesce_votes=True)
+        off = run(EnvelopeSplittingScheduler(slot_split()))
+        on = run(FifoScheduler())
         assert off.agreed and on.agreed
         for iid in off.instance_ids:
             assert on.results[iid].decisions == off.results[iid].decisions, iid
         assert on.svec_packed > 0
         assert on.logical_messages < off.logical_messages
 
-    def test_scenario_svec_axis(self):
-        from repro.sim.experiments import Scenario, run_scenario
-
-        off = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss")
-        )
-        on = run_scenario(
-            Scenario(n=4, seed=1, scheduler="fifo", coin="svss", svec=True)
-        )
-        assert off.agreed and on.agreed
-        assert on.decision == off.decision
-        # The satellite: aggregation counters surfaced on the record, so
-        # sweeps report ratios without reaching into the Runtime.
-        assert on.svec_packed > 0
-        assert on.svec_ratio > 1.0
-        assert on.logical_messages < off.logical_messages
-        assert off.svec_packed == 0 and off.svec_ratio == 0.0
-
 
 class TestSlotVectorUnpack:
     """Receiver-side slot-vector semantics, driven directly on the mux.
 
-    Pinned to ``batch_ingest=False``: these spy tests shadow ``_ingest``
-    to observe the per-slot loop; the batched path's equivalents live in
-    ``tests/test_batch_ingest.py``.
+    Every vector is consumed by ``VSSManager.ingest_vector``; these spy
+    tests shadow the per-slot instances' ``handle`` to observe what each
+    slot's session receives, on an SVSS group here and on an MW-SVSS
+    group in ``tests/test_batch_ingest.py``.
     """
 
-    def make_manager(self, svec=True):
+    GROUP = ("s", ("cc", "solo", 0), 2)
+
+    def make_manager(self, scheduler=None):
         from repro.core.api import build_stack
 
         stack = build_stack(
             SystemConfig(n=4, seed=0),
-            scheduler=FifoScheduler(),
-            svec=svec,
-            batch_ingest=False,
+            scheduler=scheduler if scheduler is not None else FifoScheduler(),
         )
         return stack, stack.vss[1]
 
-    @staticmethod
-    def group_for(csid=("cc", "solo", 0), dealer=2):
-        return ("s", csid, dealer)
-
-    def spy_ingest(self, manager, crash_after=None):
+    def spy_slots(self, manager, slots, crash_after=None):
+        """Shadow the slot sessions' ``handle``; every call lands in one
+        list as ``(slot, src, kind, body)``."""
         calls = []
+        for slot in slots:
+            sid = svec_sid(self.GROUP, slot)
+            manager._ensure(sid)
+            inst = manager.mw.get(sid) or manager.svss[sid]
 
-        def spy(src, sid, kind, body):
-            calls.append((src, sid, kind, body))
-            if crash_after is not None and len(calls) == crash_after:
-                manager.host.crashed = True
+            def spy(src, kind, body, *rest, slot=slot):
+                calls.append((slot, src, kind, body))
+                if crash_after is not None and len(calls) == crash_after:
+                    manager.host.crashed = True
 
-        manager._ingest = spy  # instance attribute shadows the method
+            inst.handle = spy  # instance attribute shadows the method
         return calls
 
     def test_unpack_feeds_per_slot_sessions(self):
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
-        group = self.group_for()
+        calls = self.spy_slots(mgr, (1, 2))
+        group = self.GROUP
         mgr.mux.on_private(2, (SVEC_TAG, "cnf", group, ((1, 5), (2, 6))))
-        assert calls == [
-            (2, svec_sid(group, 1), "cnf", 5),
-            (2, svec_sid(group, 2), "cnf", 6),
-        ]
+        assert calls == [(1, 2, "cnf", 5), (2, 2, "cnf", 6)]
 
     def test_malformed_slots_degrade_independently(self):
         """A bad entry never poisons its vector siblings."""
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
-        group = self.group_for()
+        calls = self.spy_slots(mgr, (1, 2, 3))
+        group = self.GROUP
         mgr.mux.on_private(
             2,
             (
@@ -249,12 +238,12 @@ class TestSlotVectorUnpack:
                 ((1, 5), "junk", (2,), ([1], 7), ("x", 8), (3, 9)),
             ),
         )
-        assert [c[1] for c in calls] == [svec_sid(group, 1), svec_sid(group, 3)]
+        assert [c[0] for c in calls] == [1, 3]
 
     def test_crash_mid_vector_drops_remaining_slots(self):
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr, crash_after=2)
-        group = self.group_for()
+        calls = self.spy_slots(mgr, (1, 2, 3, 4), crash_after=2)
+        group = self.GROUP
         mgr.mux.on_private(
             2, (SVEC_TAG, "cnf", group, ((1, 5), (2, 6), (3, 7), (4, 8)))
         )
@@ -264,17 +253,17 @@ class TestSlotVectorUnpack:
         """A private vector cannot smuggle RB kinds, and vice versa —
         the same dealer-equivocation defence as the per-session paths."""
         _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
-        group = self.group_for()
+        calls = self.spy_slots(mgr, (1,))
+        group = self.GROUP
         mgr.mux.on_private(2, (SVEC_TAG, "L", group, ((1, (2, 3)),)))
         mgr.mux.on_rb(2, (SVEC_TAG, "cnf", group, ((1, 5),)))
         assert calls == []
 
     def test_forged_garbage_dropped_whole(self):
-        _, mgr = self.make_manager()
-        calls = self.spy_ingest(mgr)
+        stack, mgr = self.make_manager()
+        calls = self.spy_slots(mgr, (1,))
         mux = mgr.mux
-        group = self.group_for()
+        group = self.GROUP
         mux.on_private(2, (SVEC_TAG, "cnf", group))  # short
         mux.on_private(2, (SVEC_TAG, 7, group, ((1, 5),)))  # non-str kind
         mux.on_private(2, (SVEC_TAG, "cnf", "nope", ((1, 5),)))  # bad group
@@ -282,9 +271,12 @@ class TestSlotVectorUnpack:
         mux.on_private(2, (SVEC_TAG, "cnf", ("m", 0, 1, 2, 3, "xx"), ((1, 5),)))
         mux.on_private(2, (SVEC_TAG, "cnf", group, [(1, 5)]))  # list entries
         assert calls == []
+        assert stack.runtime.svec_batch_ingested == 0
 
     def test_svec_tag_reserved(self):
-        stack, _ = self.make_manager(svec=False)
+        """Reserved even when the scheduler vetoes packing: forged vectors
+        must route identically whatever the wire."""
+        stack, _ = self.make_manager(scheduler=slot_split())
         with pytest.raises(SimulationError):
             stack.runtime.host(1).register_handler(SVEC_TAG, lambda s, p: None)
 
@@ -322,11 +314,11 @@ class TestAdversarialContract:
     def test_slot_mutator_corrupts_one_session_only(self, seed):
         """A dealer corrupting exactly one slot inside its batch: the
         sibling slots (and the whole coin) are untouched, and the run is
-        bit-identical svec on/off — the corrupt sender's messages travel
-        per session in both."""
+        bit-identical to the slot-split run — the corrupt sender's
+        messages travel per session in both."""
         adversary = lambda: Adversary({4: SlotTargetedDealer(2)})  # noqa: E731
-        off, stack_off = flip(4, seed, adversary=adversary())
-        on, stack_on = flip(4, seed, adversary=adversary(), svec=True)
+        off, stack_off = flip(4, seed, adversary=adversary(), scheduler=slot_split())
+        on, stack_on = flip(4, seed, adversary=adversary())
         nonfaulty = stack_off.nonfaulty()
         assert set(off.outputs) >= set(nonfaulty)
         assert on.outputs == off.outputs
@@ -340,30 +332,38 @@ class TestAdversarialContract:
         import random
 
         adversary = Adversary({4: MutatingBehavior(random.Random(3), rate=0.3)})
-        result, stack = flip(4, 3, adversary=adversary, svec=True)
+        result, stack = flip(4, 3, adversary=adversary)
         nonfaulty = stack.nonfaulty()
         assert set(result.outputs) >= set(nonfaulty)
         assert result.svec_packed > 0
 
+    #: The per-session coin (n=4, seed 5, FIFO) recorded before the svec
+    #: switch was retired (``svec=False, coalesce=False``): events, wire
+    #: pushes, logical messages.
+    PER_SESSION_GOLDEN = (219100, 223424, 223424)
+
     @pytest.mark.parametrize("engine", ["flat", "legacy"])
     def test_slot_splitting_scheduler_replays_per_session_golden(self, engine):
-        """splits_slots vetoes packing: the svec=True run IS the svec=False
-        run, bit for bit (events, wire pushes, outputs, justifiers)."""
-        off, stack_off = flip(4, 5, engine=engine, trace_level=TRACE_COUNTS)
+        """splits_slots vetoes packing: with envelopes split too, the run
+        IS the recorded per-session run, bit for bit (events, wire pushes,
+        outputs), and every justifier equals the aggregated run's."""
         split, stack_split = flip(
             4,
             5,
             engine=engine,
-            svec=True,
-            scheduler=SlotSplittingScheduler(FifoScheduler()),
+            scheduler=EnvelopeSplittingScheduler(slot_split()),
             trace_level=TRACE_COUNTS,
         )
+        on, stack_on = flip(4, 5, engine=engine, trace_level=TRACE_COUNTS)
         assert split.svec_packed == 0 and split.svec_slots == 0
-        assert split.outputs == off.outputs
-        assert split.events_dispatched == off.events_dispatched
-        assert split.messages_pushed == off.messages_pushed
-        assert split.logical_messages == off.logical_messages
-        assert coin_justifiers(stack_split) == coin_justifiers(stack_off)
+        assert (
+            split.events_dispatched,
+            split.messages_pushed,
+            split.logical_messages,
+        ) == self.PER_SESSION_GOLDEN
+        assert set(split.outputs.values()) == {1}
+        assert split.outputs == on.outputs
+        assert coin_justifiers(stack_split) == coin_justifiers(stack_on)
 
     def test_splitting_wrappers_compose_either_way(self):
         inner = SlotSplittingScheduler(EnvelopeSplittingScheduler(FifoScheduler()))
